@@ -320,6 +320,30 @@ def preimage_word_mask(dfa: Dfa, mask: int, letters: Sequence[int]) -> int:
     return mask
 
 
+def _split_tables(
+    n: int, contrib: Sequence[Sequence[int]]
+) -> tuple[int, list[tuple[list[int], list[int]]]]:
+    """Per-letter tables for the union of contrib[a][q] over the bits q of a mask.
+
+    Returns h = ceil(n/2) and one pair (lo, hi) per letter: lo covers the
+    low h bits and hi the rest, so the union for letter a and mask m is
+    lo[m & (2^h - 1)] | hi[m >> h], two lookups instead of a loop over
+    the set bits.  Each table is filled by low-bit doubling in O(2^h).
+    """
+    h = (n + 1) // 2
+    tables = []
+    for row in contrib:
+        pair = []
+        for part in (row[:h], row[h:n]):
+            table = [0] * (1 << len(part))
+            for m in range(1, len(table)):
+                low = m & -m
+                table[m] = table[m ^ low] | part[low.bit_length() - 1]
+            pair.append(table)
+        tables.append((pair[0], pair[1]))
+    return h, tables
+
+
 def _check_set(dfa: Dfa, s: StateSet) -> int:
     if s.n != dfa.n:
         raise ValueError(f"state set is over {s.n} states, automaton has {dfa.n}")

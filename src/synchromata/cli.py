@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success (and when every checked claim passes), 1 when a
-claim or property check fails, 2 on usage or input errors.
+claim or property check fails or two independent computations disagree
+(ConsistencyError), 2 on usage or input errors.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from typing import Optional
 
 from . import io
 from .automaton import (
+    ConsistencyError,
     Dfa,
     StateSet,
     is_strongly_connected,
@@ -29,7 +31,7 @@ from .extension import (
 )
 from .families import FAMILIES, build_family
 from .replication import all_passing, run_all
-from .reset import inverse_layers, reset_length, shortest_reset_word
+from .reset import checked_reset_word, inverse_layers
 
 
 def _parse_subset(text: str, dfa: Dfa) -> StateSet:
@@ -38,6 +40,13 @@ def _parse_subset(text: str, dfa: Dfa) -> StateSet:
     except ValueError:
         raise ValueError(f"subset must be comma-separated state numbers, got {text!r}")
     return StateSet(states, dfa.n)
+
+
+def _limit(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"limit must be >= 0, got {value}")
+    return value
 
 
 def _load(path: str) -> Dfa:
@@ -71,9 +80,8 @@ def cmd_analyze(args) -> int:
     sync = is_synchronizing(dfa)
     print(f"synchronizing: {'yes' if sync else 'no'}")
     if sync:
-        length = reset_length(dfa, args.limit)
-        word = shortest_reset_word(dfa)
-        print(f"reset length: {length}")
+        word = checked_reset_word(dfa, args.limit)
+        print(f"reset length: {len(word)}")
         print(f"shortest reset word: {dfa.word_str(word)}")
         irr = is_irreducibly_synchronizing(dfa)
         print(f"irreducibly synchronizing: {'yes' if irr else 'no'}")
@@ -188,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="connectivity, synchronization, reset length")
     p.add_argument("automaton", help="automaton file (JSON or text)")
-    p.add_argument("--limit", type=int, default=None,
+    p.add_argument("--limit", type=_limit, default=None,
                    help="override the layer-search iteration limit")
     p.set_defaults(func=cmd_analyze)
 
@@ -222,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("layers", help="inverse layer search for the reset length")
     p.add_argument("automaton")
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=_limit, default=None)
     p.add_argument("--trace", action="store_true", help="dump every layer")
     p.set_defaults(func=cmd_layers)
 
@@ -248,6 +256,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ConsistencyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -4,12 +4,18 @@ The forward method searches the image subsets of the full state set.
 The inverse method grows the layer families L_0, L_1, ... of maximal
 subsets reachable from mergeable singletons by repeated one-letter
 preimages; the first layer containing the full set gives the reset
-length.  Both run in O(2^n k) at worst and must always agree.
+length.  Both run in O(2^n k) at worst and must always agree;
+:func:`checked_reset_word` runs each of them once and compares them.
+
+Each search step looks up the image or preimage of a subset in two
+split tables, one for each half of its bits, instead of looping over
+the states.  The layer search finds a candidate's supersets among the
+kept sets by ANDing, over its states, one bitset per state of the kept
+sets that contain that state.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,40 +26,46 @@ from .automaton import (
     Word,
     WordLike,
     _check_word,
-    image_mask,
+    _split_tables,
     image_word_mask,
-    preimage_mask,
 )
 
 
 def shortest_reset_word(dfa: Dfa) -> Optional[Word]:
     """A minimum-length word of rank 1, or None if the automaton never resets.
 
-    Breadth-first search over images of the full state set, memoized by
-    bitmask; predecessor links reconstruct the witness.  Ties between
-    equal-length words are broken by letter order.
+    Level-by-level breadth-first search over images of the full state
+    set, memoized by bitmask; each image stores its predecessor and
+    letter as one int, ``prev * k + letter``, from which the witness is
+    rebuilt.  Ties between equal-length words are broken by letter order.
     """
     start = dfa.full_mask
     if start.bit_count() == 1:
         return Word()
-    parent: dict[int, tuple[int, int]] = {start: (-1, -1)}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        for a in range(dfa.k):
-            nxt = image_mask(dfa, cur, a)
-            if nxt in parent:
-                continue
-            parent[nxt] = (cur, a)
-            if nxt.bit_count() == 1:
-                letters = []
-                node = nxt
-                while node != start:
-                    prev, letter = parent[node]
-                    letters.append(letter)
-                    node = prev
-                return Word(reversed(letters))
-            queue.append(nxt)
+    k = dfa.k
+    h, tables = _split_tables(dfa.n, [[1 << t for t in row] for row in dfa.delta])
+    low_bits = (1 << h) - 1
+    parent = {start: -1}
+    frontier = [start]
+    while frontier:
+        following = []
+        for cur in frontier:
+            lo_key, hi_key = cur & low_bits, cur >> h
+            link = cur * k
+            for lo, hi in tables:
+                nxt = lo[lo_key] | hi[hi_key]
+                if nxt not in parent:
+                    parent[nxt] = link
+                    if nxt & (nxt - 1) == 0:
+                        letters = []
+                        node = nxt
+                        while node != start:
+                            node, letter = divmod(parent[node], k)
+                            letters.append(letter)
+                        return Word(reversed(letters))
+                    following.append(nxt)
+                link += 1
+        frontier = following
     return None
 
 
@@ -77,6 +89,31 @@ def default_layer_limit(n: int) -> int:
     return n ** 3 // 6 + n
 
 
+def _resolve_limit(n: int, limit: Optional[int]) -> int:
+    if limit is None:
+        return default_layer_limit(n)
+    if limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
+    return limit
+
+
+def _covering(member: list[int], mask: int) -> int:
+    """AND of member[q] over the states q of mask: the sets containing mask."""
+    acc = -1
+    while mask and acc:
+        low = mask & -mask
+        acc &= member[low.bit_length() - 1]
+        mask ^= low
+    return acc
+
+
+def _add_members(member: list[int], masks: list[int], base: int) -> None:
+    """Record masks[i] as set number base + i in the per-state bitsets."""
+    for q in range(len(member)):
+        bit = 1 << q
+        member[q] |= sum(1 << i for i, s in enumerate(masks) if s & bit) << base
+
+
 def inverse_layers(dfa: Dfa, limit: Optional[int] = None) -> LayerTrace:
     """Grow the layer families L_0..L_limit and report where Q first appears.
 
@@ -87,12 +124,11 @@ def inverse_layers(dfa: Dfa, limit: Optional[int] = None) -> LayerTrace:
     in the same round.  Stops early once the full set appears or a layer
     comes out empty.
     """
-    if limit is None:
-        limit = default_layer_limit(dfa.n)
-    if limit < 0:
-        raise ValueError(f"limit must be >= 0, got {limit}")
+    limit = _resolve_limit(dfa.n, limit)
     n = dfa.n
     full = dfa.full_mask
+    h, tables = _split_tables(n, dfa.inverse)
+    low_bits = (1 << h) - 1
 
     level0 = [
         1 << q
@@ -100,7 +136,10 @@ def inverse_layers(dfa: Dfa, limit: Optional[int] = None) -> LayerTrace:
         if any(dfa.inverse[a][q].bit_count() >= 2 for a in range(dfa.k))
     ]
     layer_masks: list[list[int]] = [level0]
-    kept: list[int] = list(level0)
+    # member[q]: bitset of the indices of kept sets (all layers so far) holding q
+    member = [0] * n
+    _add_members(member, level0, 0)
+    kept_count = len(level0)
     found_at = None
     truncated = False
 
@@ -110,21 +149,26 @@ def inverse_layers(dfa: Dfa, limit: Optional[int] = None) -> LayerTrace:
             truncated = True
             break
         i += 1
-        candidates = set()
-        for s in layer_masks[-1]:
-            for a in range(dfa.k):
-                candidates.add(preimage_mask(dfa, s, a))
-        level = []
-        for s in sorted(candidates):
-            if s.bit_count() <= 1:
-                continue
-            if any(s & ~t == 0 for t in kept):
-                continue
-            if any(s != t and s & ~t == 0 for t in candidates):
-                continue
-            level.append(s)
+        candidates = {
+            lo[s & low_bits] | hi[s >> h]
+            for s in layer_masks[-1]
+            for lo, hi in tables
+        }
+        fresh = [
+            s for s in sorted(candidates)
+            if s & (s - 1) and not _covering(member, s)
+        ]
+        # A candidate inside a covered candidate is covered too, so the
+        # same-round superset test only needs the fresh ones.
+        round_member = [0] * n
+        _add_members(round_member, fresh, 0)
+        level = [
+            s for j, s in enumerate(fresh)
+            if not _covering(round_member, s) & ~(1 << j)
+        ]
         layer_masks.append(level)
-        kept.extend(level)
+        _add_members(member, level, kept_count)
+        kept_count += len(level)
         if full in level:
             found_at = i
 
@@ -134,25 +178,41 @@ def inverse_layers(dfa: Dfa, limit: Optional[int] = None) -> LayerTrace:
     return LayerTrace(layers=layers, found_at=found_at, truncated=truncated)
 
 
-def reset_length(dfa: Dfa, limit: Optional[int] = None) -> Optional[int]:
-    """Reset length computed by both methods, or None if not synchronizing.
+def checked_reset_word(dfa: Dfa, limit: Optional[int] = None) -> Optional[Word]:
+    """A shortest reset word whose length both methods confirm, or None.
 
-    Raises ConsistencyError if the forward search and the layer search
-    disagree, which would mean a bug in one of them.  A single-state
-    automaton resets with the empty word; the layer machinery only
-    applies for n >= 2, so that case is answered directly.
+    Runs the forward search once and the layer search once.  Raises
+    ValueError if ``limit`` is negative or stops the layer search before
+    it settles, and ConsistencyError if the two searches disagree, which
+    would mean a bug in one of them.  A single-state automaton resets
+    with the empty word; the layer machinery only applies for n >= 2, so
+    that case is answered by the forward search alone.
     """
+    limit = _resolve_limit(dfa.n, limit)
     word = shortest_reset_word(dfa)
     if dfa.n == 1:
-        return 0
+        return word
     trace = inverse_layers(dfa, limit)
+    if trace.truncated:
+        raise ValueError(
+            f"layer search reached the limit of {limit} layers before "
+            f"settling the reset length"
+        )
     forward = None if word is None else len(word)
     if forward != trace.found_at:
         raise ConsistencyError(
-            f"forward search found {forward}, layer search found "
-            f"{trace.found_at} (truncated={trace.truncated})"
+            f"forward search found {forward}, layer search found {trace.found_at}"
         )
-    return forward
+    return word
+
+
+def reset_length(dfa: Dfa, limit: Optional[int] = None) -> Optional[int]:
+    """Reset length computed by both methods, or None if not synchronizing.
+
+    See :func:`checked_reset_word` for the checks and errors.
+    """
+    word = checked_reset_word(dfa, limit)
+    return None if word is None else len(word)
 
 
 def check_sync_word(dfa: Dfa, w: WordLike) -> Optional[int]:

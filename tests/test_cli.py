@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from synchromata import b_series, m_series
+import synchromata.reset as reset_mod
+from synchromata import Word, b_series, cerny, m_series
 from synchromata.cli import main
 from synchromata.io import from_json, to_json, to_text
 from synchromata.replication import ClaimResult
@@ -153,3 +154,68 @@ def test_missing_and_malformed_files(tmp_path, capsys):
     bad.write_text("{broken")
     assert main(["analyze", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.fixture
+def c3_path(tmp_path):
+    path = tmp_path / "c3.json"
+    path.write_text(to_json(cerny(3)))
+    return str(path)
+
+
+def test_analyze_runs_the_forward_search_once(c3_path, monkeypatch, capsys):
+    calls = []
+    original = reset_mod.shortest_reset_word
+
+    def counting(dfa):
+        calls.append(dfa)
+        return original(dfa)
+
+    monkeypatch.setattr(reset_mod, "shortest_reset_word", counting)
+    assert main(["analyze", c3_path]) == 0
+    assert "reset length: 4" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
+def test_analyze_truncated_layer_search_is_input_error(c3_path, capsys):
+    assert main(["analyze", c3_path, "--limit", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "limit of 1" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "layers"])
+def test_negative_limit_rejected_before_any_output(c3_path, command, capsys):
+    assert main([command, c3_path, "--limit", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "limit must be >= 0" in err
+
+
+def test_disagreeing_searches_exit_one(c3_path, monkeypatch, capsys):
+    original = reset_mod.shortest_reset_word
+    monkeypatch.setattr(
+        reset_mod, "shortest_reset_word", lambda dfa: original(dfa) + Word([0])
+    )
+    assert main(["analyze", c3_path]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert "forward search found 5, layer search found 4" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"n": 2, "alphabet": ["a"], "delta": [[1.0, 2]]}',
+        '{"n": true, "alphabet": ["a"], "delta": [[true]]}',
+    ],
+    ids=["float-entry", "bool-n"],
+)
+def test_analyze_rejects_non_integer_tables(tmp_path, doc, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    assert main(["analyze", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert "states:" not in out
+    assert "error:" in err

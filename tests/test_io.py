@@ -61,6 +61,23 @@ def test_json_validation_errors():
         from_json('{"n": 2, "alphabet": ["a", "a"], "delta": [[1, 2], [2, 1]]}')
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"n": 2, "alphabet": ["a"], "delta": [[1.0, 2]]}',
+        '{"n": true, "alphabet": ["a"], "delta": [[true]]}',
+        '{"n": 1, "alphabet": ["a"], "delta": [[true]]}',
+        '{"n": 2, "alphabet": ["a"], "delta": ["12"]}',
+        '{"n": 2, "alphabet": ["a"], "delta": 5}',
+        '{"n": 2, "alphabet": ["a"], "delta": [[1, null]]}',
+    ],
+    ids=["float-entry", "bool-n", "bool-entry", "string-row", "scalar-delta", "null-entry"],
+)
+def test_json_rejects_non_integer_tables(doc):
+    with pytest.raises(ValueError, match="integer"):
+        from_json(doc)
+
+
 def test_text_validation_errors():
     with pytest.raises(ValueError, match="header"):
         from_text("3")

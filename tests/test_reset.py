@@ -1,14 +1,20 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import synchromata.reset as reset_mod
 from synchromata import (
+    ConsistencyError,
+    Dfa,
     StateSet,
     Word,
     a_odd,
     a_odd_sync_word,
     cerny,
     check_sync_word,
+    checked_reset_word,
     inverse_layers,
     m_prime_series,
     m_series,
@@ -18,7 +24,7 @@ from synchromata import (
     shortest_reset_word,
 )
 
-from helpers import o_reset_length, random_dfa
+from helpers import o_image, o_preimage, o_reset_length, random_dfa
 
 
 def test_known_reset_lengths():
@@ -166,3 +172,134 @@ def test_concurrent_analyses_share_one_automaton():
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(lambda _: reset_length(dfa), range(16)))
     assert results == [expected] * 16
+
+
+# ---------------------------------------------------------------------
+# one checked call
+# ---------------------------------------------------------------------
+
+def test_checked_reset_word_runs_each_search_once(monkeypatch):
+    calls = []
+
+    def counted(name):
+        original = getattr(reset_mod, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(reset_mod, name, wrapper)
+
+    counted("shortest_reset_word")
+    counted("inverse_layers")
+    word = checked_reset_word(cerny(5))
+    assert len(word) == 16
+    assert calls == ["shortest_reset_word", "inverse_layers"]
+
+
+def test_checked_reset_word_truncation_is_value_error():
+    with pytest.raises(ValueError, match="limit of 1"):
+        checked_reset_word(cerny(3), limit=1)
+    with pytest.raises(ValueError, match="limit of 5"):
+        reset_length(m_series(6), limit=5)
+    # a limit that the layers reach exactly is enough
+    assert reset_length(cerny(3), limit=4) == 4
+
+
+def test_negative_limit_is_rejected_before_any_search(monkeypatch):
+    def boom(dfa):
+        raise AssertionError("search ran")
+
+    monkeypatch.setattr(reset_mod, "shortest_reset_word", boom)
+    with pytest.raises(ValueError, match="limit must be >= 0"):
+        checked_reset_word(cerny(3), limit=-1)
+
+
+def test_disagreement_raises_consistency_error(monkeypatch):
+    original = reset_mod.shortest_reset_word
+    monkeypatch.setattr(
+        reset_mod, "shortest_reset_word", lambda dfa: original(dfa) + Word([0])
+    )
+    with pytest.raises(ConsistencyError, match="forward search found 10"):
+        checked_reset_word(cerny(4))
+    monkeypatch.setattr(reset_mod, "shortest_reset_word", lambda dfa: None)
+    with pytest.raises(ConsistencyError, match="forward search found None"):
+        reset_length(cerny(4))
+
+
+# ---------------------------------------------------------------------
+# property tests of the split-table kernels against plain-set references
+# ---------------------------------------------------------------------
+
+@st.composite
+def transition_rows(draw):
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(1, 3))
+    row = st.lists(st.integers(1, n), min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=k, max_size=k))
+
+
+def naive_layers(rows):
+    """Layer families by the plain antichain rule over frozensets.
+
+    A candidate is kept when it is not a singleton, not inside a set kept
+    in an earlier layer, and not a proper subset of a same-round candidate.
+    Runs until the full set appears or a layer comes out empty.
+    """
+    n, k = len(rows[0]), len(rows)
+    full = frozenset(range(1, n + 1))
+    level = [
+        frozenset([q]) for q in range(1, n + 1)
+        if any(len(o_preimage(rows, {q}, a)) >= 2 for a in range(k))
+    ]
+    layers = [level]
+    kept = list(level)
+    while layers[-1] and full not in layers[-1]:
+        candidates = {o_preimage(rows, s, a) for s in layers[-1] for a in range(k)}
+        level = [
+            s for s in candidates
+            if len(s) > 1
+            and not any(s <= t for t in kept)
+            and not any(s < t for t in candidates)
+        ]
+        layers.append(level)
+        kept.extend(level)
+    return layers
+
+
+KERNEL_SETTINGS = settings(max_examples=300, deadline=None)
+
+
+@KERNEL_SETTINGS
+@given(transition_rows())
+@example([[1]])                 # n = 1: the high half is empty
+@example([[2, 2], [1, 2]])      # n = 2: the high half is one bit
+@example([[2, 3, 1]])           # a permutation never resets
+def test_forward_search_matches_oracle(rows):
+    dfa = Dfa(len(rows[0]), len(rows), rows)
+    word = shortest_reset_word(dfa)
+    length = o_reset_length(rows)
+    if length is None:
+        assert word is None
+    else:
+        assert len(word) == length
+        assert len(o_image(rows, range(1, dfa.n + 1), word)) == 1
+
+
+@KERNEL_SETTINGS
+@given(transition_rows())
+@example([[1]])
+@example([[2, 2], [1, 2]])
+@example([[2, 1, 1], [1, 3, 2]])
+def test_layers_match_naive_reference(rows):
+    dfa = Dfa(len(rows[0]), len(rows), rows)
+    trace = inverse_layers(dfa)
+    naive = naive_layers(rows)
+    full = frozenset(range(1, dfa.n + 1))
+    assert not trace.truncated
+    assert len(trace.layers) == len(naive)
+    for got, want in zip(trace.layers, naive):
+        assert len(got) == len(want)
+        assert {frozenset(s) for s in got} == set(want)
+    found = next((i for i, level in enumerate(naive) if full in level), None)
+    assert trace.found_at == found
