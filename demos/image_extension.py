@@ -3,7 +3,8 @@
 The subsets that are actually images of the full state set are the only
 ones a reset word ever passes through.  Restricting the extension
 question to those images weakens it, but the b-series shows the
-constant in any linear bound must still be at least 3/2.
+constant in any linear bound must still be at least 3/2: its worst
+image needs 3m-1 letters on n = 2m states.
 
 Run with:  python demos/image_extension.py
 """
@@ -38,13 +39,14 @@ word = shortest_extending_word(dfa, pair)
 print(f"Its shortest extending word has {len(word)} letters: "
       f"{dfa.word_str(word)}")
 
-report = image_extension_bound(dfa)
 print()
-print("Image-aware worst case over all reachable images:")
-print(f"  worst image: {report.worst_set}")
-print(f"  worst length: {report.worst_length}")
-print(f"  as a multiple of n: {report.constant_witness} "
-      f"(~{float(report.constant_witness):.3f})")
+print("Image-aware worst case over all reachable images, as m grows:")
+for m in (4, 5, 6, 7):
+    report = image_extension_bound(b_series(m))
+    print(f"  n={2 * m}: worst image {report.worst_set} needs "
+          f"{report.worst_length} letters (3m-1 = {3 * m - 1}); as a multiple "
+          f"of n {report.constant_witness} ~{float(report.constant_witness):.3f}")
+print("The ratio (3m-1)/2m climbs towards 3/2, so no constant below 3/2 works.")
 
 print()
 print("The same family pins down avoiding words: keeping the self-loop")

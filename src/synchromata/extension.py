@@ -4,16 +4,29 @@ An extending word for a subset S is one whose preimage of S is strictly
 larger than S.  Searches here never prune by cardinality: a shortest
 extending path may dip far below |S| before growing, so the full
 preimage-step graph over the subset lattice is explored.
+
+Both whole-lattice reports run on one kernel, :func:`_worst_distances`.
+For each query set S of size c it finds the shortest word w such that
+S·w⁻¹ contains a query set larger than S, that is f0[S·w⁻¹] > c with
+f0[T] the size of the largest query set inside T.  The extension
+profile queries every subset, so f0[T] = |T|; the image-extension bound
+queries the reachable images, so f0[T] is the size of the largest
+reachable image inside T.  The kernel is pure Python: importing numpy
+alone raises resident memory from about 16 to 28 MB, more than the
+reports themselves need at up to 12 states.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import itemgetter
 from typing import Optional
 
 from .automaton import (
+    MAX_STATES,
     ConsistencyError,
     Dfa,
     StateSet,
@@ -28,6 +41,9 @@ from .automaton import (
 #: Largest n for which whole-lattice reports (profile, image-extension
 #: bound) are attempted; single-subset queries work up to the mask width.
 PROFILE_BOUND = 20
+
+# _ABOVE[c] translates a byte v to 1 if v > c and to 0 otherwise
+_ABOVE = [bytes(c + 1) + b"\1" * (255 - c) for c in range(MAX_STATES)]
 
 
 def shortest_extending_word(dfa: Dfa, s: StateSet) -> Optional[Word]:
@@ -79,27 +95,80 @@ class ExtensionReport:
     per_cardinality_max: tuple[Optional[int], ...]
 
 
-def _preimage_step_table(dfa: Dfa) -> list[list[int]]:
-    """step[a][mask] = preimage of mask under letter a, for every mask."""
-    size = 1 << dfa.n
-    table = []
-    for a in range(dfa.k):
-        inv = dfa.inverse[a]
-        row = [0] * size
-        for mask in range(1, size):
-            low = mask & -mask
-            row[mask] = row[mask ^ low] | inv[low.bit_length() - 1]
-        table.append(row)
-    return table
+def _worst_distances(dfa: Dfa, queries: bytes) -> list[tuple[Optional[int], int]]:
+    """Worst growth distance for each size of query set.
+
+    ``queries[S]`` is |S| for each query set S and 0 for every other
+    subset.  The distance of a query S of size c is the length of a
+    shortest word w with f0[S·w⁻¹] > c (see the module docstring).  For
+    each c that has queries, one multi-source search backwards from every
+    T with f0[T] > c reaches the sets in order of distance, and stops
+    once every query of size c has been reached.
+
+    Returns one (distance, mask) pair per size c that has queries, in
+    increasing c: the largest distance in that group and the first query
+    in mask order that attains it, or None and the first query that
+    never grows.
+    """
+    n = dfa.n
+    size = 1 << n
+    preds: list[list[int]] = [[] for _ in range(size)]  # all T with T·a⁻¹ = S
+    for inv in dfa.inverse:
+        row = [0]  # row[T] = T·a⁻¹, built by doubling over the states
+        for bits in inv:
+            row += [t | bits for t in row]
+        for t, s in enumerate(row):
+            preds[s].append(t)
+    # A family of sets is one big integer with a byte per mask; lows[q] is 1
+    # at each mask without state q, so (x & lows[q]) << (8 << q) copies x
+    # from each such mask to the mask with q added.
+    lows = [
+        int.from_bytes((b"\1" * (1 << q) + bytes(1 << q)) * (size >> q + 1), "little")
+        for q in range(n)
+    ]
+    wanted = Counter(queries)
+    out: list[tuple[Optional[int], int]] = []
+    for c in range(1, n):
+        left = wanted[c]
+        if not left:
+            continue
+        up = int.from_bytes(queries.translate(_ABOVE[c]), "little")
+        for q, low in enumerate(lows):
+            up |= (up & low) << (8 << q)
+        seen = bytearray(up.to_bytes(size, "little"))  # 1 where f0 > c
+        frontier = list(compress(range(size), seen))
+        worst = worst_set = d = 0
+        while frontier and left:
+            d += 1
+            following = []
+            for cur in frontier:
+                for prev in preds[cur]:
+                    if not seen[prev]:
+                        seen[prev] = 1
+                        following.append(prev)
+                        if queries[prev] == c:
+                            left -= 1
+                            # d never falls, so ties keep the smallest mask
+                            if d > worst or prev < worst_set:
+                                worst, worst_set = d, prev
+            frontier = following
+        if left:
+            stuck = next(s for s in range(size) if queries[s] == c and not seen[s])
+            out.append((None, stuck))
+        else:
+            out.append((worst, worst_set))
+    return out
 
 
 def extension_profile(dfa: Dfa, bound: int = PROFILE_BOUND) -> ExtensionReport:
     """Exact extension profile of the whole automaton.
 
-    One multi-source backward search per cardinality class answers every
-    subset of that size at once, instead of one forward search per
-    subset.  Refuses automata above ``bound`` states; query single
-    subsets with :func:`shortest_extending_word` instead for those.
+    Every subset is a query of the lattice kernel, so one backward search
+    per cardinality answers all subsets of that size at once.  The
+    witness is the first worst subset in (cardinality, mask) order, or
+    the first subset that never extends.  Refuses automata above
+    ``bound`` states; query single subsets with
+    :func:`shortest_extending_word` instead for those.
     """
     n = dfa.n
     if n > bound:
@@ -109,70 +178,23 @@ def extension_profile(dfa: Dfa, bound: int = PROFILE_BOUND) -> ExtensionReport:
         )
     if n < 2:
         raise ValueError("a single-state automaton has no proper subsets to extend")
-    size = 1 << n
-    step = _preimage_step_table(dfa)
-    radj: dict[int, list[int]] = defaultdict(list)
-    for a in range(dfa.k):
-        row = step[a]
-        for mask in range(size):
-            radj[row[mask]].append(mask)
-    popcount = [m.bit_count() for m in range(size)]
-
-    per_card: list[Optional[int]] = []
-    worst: dict[int, int] = {}  # cardinality -> smallest mask attaining the max
-    missing: Optional[int] = None
-    for c in range(1, n):
-        dist = [-1] * size
-        queue = deque()
-        for mask in range(size):
-            if popcount[mask] > c:
-                dist[mask] = 0
-                queue.append(mask)
-        while queue:
-            cur = queue.popleft()
-            d = dist[cur] + 1
-            for prev in radj.get(cur, ()):
-                if dist[prev] < 0:
-                    dist[prev] = d
-                    queue.append(prev)
-        best = 0
-        best_mask = None
-        unreachable = None
-        for mask in range(size):
-            if popcount[mask] != c:
-                continue
-            if dist[mask] < 0:
-                unreachable = mask
-                break
-            if dist[mask] > best:
-                best = dist[mask]
-                best_mask = mask
-        if unreachable is not None:
-            per_card.append(None)
-            if missing is None:
-                missing = unreachable
-        else:
-            per_card.append(best)
-            worst[c] = best_mask
-
-    if missing is not None:
+    worst = _worst_distances(dfa, bytes(s.bit_count() for s in range(1 << n)))
+    per_card = tuple(length for length, _ in worst)
+    stuck = next((s for length, s in worst if length is None), None)
+    if stuck is not None:
         return ExtensionReport(
             max_length=None,
-            witness_set=StateSet.from_mask(missing, n),
+            witness_set=StateSet.from_mask(stuck, n),
             witness_word=None,
-            per_cardinality_max=tuple(per_card),
+            per_cardinality_max=per_card,
         )
-    max_length = max(per_card)  # type: ignore[type-var]
-    for c in range(1, n):
-        if per_card[c - 1] == max_length:
-            witness = StateSet.from_mask(worst[c], n)
-            break
-    word = shortest_extending_word(dfa, witness)
+    max_length, mask = max(worst, key=itemgetter(0))
+    witness = StateSet.from_mask(mask, n)
     return ExtensionReport(
         max_length=max_length,
         witness_set=witness,
-        witness_word=word,
-        per_cardinality_max=tuple(per_card),
+        witness_word=shortest_extending_word(dfa, witness),
+        per_cardinality_max=per_card,
     )
 
 
@@ -218,9 +240,11 @@ class ImageExtensionReport:
 def image_extension_bound(dfa: Dfa, bound: int = PROFILE_BOUND) -> ImageExtensionReport:
     """Worst image-aware extension length over all reachable proper images.
 
-    Requires a synchronizing automaton: reversing a reset word shows the
-    search below always terminates, so a miss means an implementation
-    bug rather than bad input.
+    The reachable images are the queries of the lattice kernel; the
+    worst set is the first worst image in (cardinality, mask) order.
+    Requires a synchronizing automaton: reversing a reset word shows
+    every image grows, so a miss means an implementation bug rather than
+    bad input.
     """
     n = dfa.n
     if n > bound:
@@ -233,51 +257,17 @@ def image_extension_bound(dfa: Dfa, bound: int = PROFILE_BOUND) -> ImageExtensio
     if not is_synchronizing(dfa):
         raise ValueError("image-extension bound needs a synchronizing automaton")
     reach = _reachable_masks(dfa)
-    by_card: dict[int, list[int]] = defaultdict(list)
-    for m in reach:
-        by_card[m.bit_count()].append(m)
-    for bucket in by_card.values():
-        bucket.sort()
-    cards_desc = sorted(by_card, reverse=True)
-
-    def contains_larger(mask: int, card: int) -> bool:
-        for c in cards_desc:
-            if c <= card:
-                return False
-            for t in by_card[c]:
-                if t & ~mask == 0:
-                    return True
-        return False
-
-    worst_len = -1
-    worst_mask = 0
-    for s in sorted(reach, key=lambda m: (m.bit_count(), m)):
-        if s == dfa.full_mask:
-            continue
-        card = s.bit_count()
-        dist = {s: 0}
-        queue = deque([s])
-        found = 0 if contains_larger(s, card) else None
-        while queue and found is None:
-            cur = queue.popleft()
-            d = dist[cur] + 1
-            for a in range(dfa.k):
-                nxt = preimage_mask(dfa, cur, a)
-                if nxt in dist:
-                    continue
-                dist[nxt] = d
-                if contains_larger(nxt, card):
-                    found = d
-                    break
-                queue.append(nxt)
-        if found is None:
-            raise ConsistencyError(
-                f"reachable image {StateSet.from_mask(s, n)} admits no "
-                "image-extending word in a synchronizing automaton"
-            )
-        if found > worst_len:
-            worst_len = found
-            worst_mask = s
+    queries = bytearray(1 << n)
+    for s in reach:
+        queries[s] = s.bit_count()
+    worst = _worst_distances(dfa, queries)
+    stuck = next((s for length, s in worst if length is None), None)
+    if stuck is not None:
+        raise ConsistencyError(
+            f"reachable image {StateSet.from_mask(stuck, n)} admits no "
+            "image-extending word in a synchronizing automaton"
+        )
+    worst_len, worst_mask = max(worst, key=itemgetter(0))
     return ImageExtensionReport(
         reachable_image_count=len(reach),
         worst_set=StateSet.from_mask(worst_mask, n),

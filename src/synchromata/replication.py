@@ -228,14 +228,19 @@ def check_b_series_avoiding(m: int) -> list[ClaimResult]:
 
 
 def check_image_extension_constant(m: int = 4) -> list[ClaimResult]:
-    """b_series(4) pushes the image-extension constant to at least 11/8."""
-    if m != 4:
-        raise ValueError("the constant witness is pinned on b_series(4)")
+    """b_series(m) needs 3m-1 image-aware letters, so the constant is >= 3/2.
+
+    The worst reachable image is the pair {q_{m-3}, q_{m-2}}, among the
+    4^m - 2^m reachable images; (3m-1)/2m tends to 3/2 as m grows.
+    """
+    if not 4 <= m <= 7:
+        raise ValueError(f"supported range is 4 <= m <= 7, got {m}")
     report = image_extension_bound(b_series(m))
     return [
-        _bound("image-extension-constant", m, 11, 2 * (2 * m) ** 2,
-               report.worst_length,
-               gate=report.worst_set == StateSet([1, 2], 2 * m)),
+        _exact("image-extension-constant", m, 3 * m - 1, report.worst_length,
+               gate=report.worst_set == StateSet([m - 3, m - 2], 2 * m)),
+        _exact("image-extension-images", m, 4 ** m - 2 ** m,
+               report.reachable_image_count),
     ]
 
 
@@ -307,7 +312,8 @@ def run_all(max_m: int = 8, max_n: int = 10) -> list[ClaimResult]:
     for m in range(4, min(max_m, 8) + 1):
         results += check_b_series_extension(m)
         results += check_b_series_avoiding(m)
-    results += check_image_extension_constant()
+    for m in range(4, min(max_m, 7) + 1):
+        results += check_image_extension_constant(m)
     for n in range(3, max_n + 1):
         results += check_ternary_series(n)
     for n in (6, 7):

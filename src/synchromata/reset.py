@@ -118,10 +118,11 @@ def inverse_layers(dfa: Dfa, limit: Optional[int] = None) -> LayerTrace:
     """Grow the layer families L_0..L_limit and report where Q first appears.
 
     L_0 holds the singletons that some letter maps at least two states
-    onto.  Each next layer takes all one-letter preimages of the previous
-    layer and discards the visited ones: singletons, sets contained in a
-    member of any earlier layer, and proper subsets of another candidate
-    in the same round.  Stops early once the full set appears or a layer
+    onto, or the full set itself when there is only one state.  Each next
+    layer takes all one-letter preimages of the previous layer and
+    discards the visited ones: singletons, sets contained in a member of
+    any earlier layer, and proper subsets of another candidate in the
+    same round.  Stops early once the full set appears or a layer
     comes out empty.
     """
     limit = _resolve_limit(dfa.n, limit)
@@ -133,14 +134,14 @@ def inverse_layers(dfa: Dfa, limit: Optional[int] = None) -> LayerTrace:
     level0 = [
         1 << q
         for q in range(n)
-        if any(dfa.inverse[a][q].bit_count() >= 2 for a in range(dfa.k))
+        if n == 1 or any(dfa.inverse[a][q].bit_count() >= 2 for a in range(dfa.k))
     ]
     layer_masks: list[list[int]] = [level0]
     # member[q]: bitset of the indices of kept sets (all layers so far) holding q
     member = [0] * n
     _add_members(member, level0, 0)
     kept_count = len(level0)
-    found_at = None
+    found_at = 0 if full in level0 else None
     truncated = False
 
     i = 0
@@ -184,14 +185,10 @@ def checked_reset_word(dfa: Dfa, limit: Optional[int] = None) -> Optional[Word]:
     Runs the forward search once and the layer search once.  Raises
     ValueError if ``limit`` is negative or stops the layer search before
     it settles, and ConsistencyError if the two searches disagree, which
-    would mean a bug in one of them.  A single-state automaton resets
-    with the empty word; the layer machinery only applies for n >= 2, so
-    that case is answered by the forward search alone.
+    would mean a bug in one of them.
     """
     limit = _resolve_limit(dfa.n, limit)
     word = shortest_reset_word(dfa)
-    if dfa.n == 1:
-        return word
     trace = inverse_layers(dfa, limit)
     if trace.truncated:
         raise ValueError(

@@ -94,6 +94,76 @@ def o_profile(dfa: Dfa):
     return out
 
 
+def o_profile_witness(dfa: Dfa):
+    """The profile's witness set, from one naive BFS per subset.
+
+    The first subset in (cardinality, mask) order that never extends, or
+    else the first one whose shortest extending length is the largest.
+    """
+    n = dfa.n
+    masks = sorted(range(1, (1 << n) - 1), key=lambda m: (bin(m).count("1"), m))
+    lengths = [o_extending_length(dfa, m) for m in masks]
+    if None in lengths:
+        mask = masks[lengths.index(None)]
+    else:
+        mask = masks[lengths.index(max(lengths))]
+    return frozenset(q for q in range(1, n + 1) if mask >> (q - 1) & 1)
+
+
+def o_reachable_images(rows):
+    """Every image of the full state set, by breadth-first search over frozensets."""
+    full = frozenset(range(1, len(rows[0]) + 1))
+    seen = {full}
+    queue = deque([full])
+    while queue:
+        cur = queue.popleft()
+        for row in rows:
+            nxt = frozenset(row[q - 1] for q in cur)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
+
+
+def o_image_extension_length(rows, reach, s):
+    """Shortest u whose preimage of s contains a reachable image larger than s."""
+    larger = [t for t in reach if len(t) > len(s)]
+    dist = {s: 0}
+    queue = deque([s])
+    while queue:
+        cur = queue.popleft()
+        for a in range(len(rows)):
+            nxt = o_preimage(rows, cur, a)
+            if nxt in dist:
+                continue
+            dist[nxt] = dist[cur] + 1
+            if any(t <= nxt for t in larger):
+                return dist[nxt]
+            queue.append(nxt)
+    return None
+
+
+def o_image_bound(dfa: Dfa):
+    """(reachable image count, worst length, worst set) of the image bound.
+
+    One frozenset search per proper reachable image; the worst set is the
+    first in (cardinality, mask) order, and the length is None, with that
+    image as the set, if some image never grows.
+    """
+    rows = dfa.rows()
+    reach = o_reachable_images(rows)
+    worst, worst_set = -1, None
+    for s in sorted(reach, key=lambda s: (len(s), sum(1 << (q - 1) for q in s))):
+        if len(s) == dfa.n:
+            continue
+        length = o_image_extension_length(rows, reach, s)
+        if length is None:
+            return len(reach), None, s
+        if length > worst:
+            worst, worst_set = length, s
+    return len(reach), worst, worst_set
+
+
 def no_shorter_extending_word(dfa: Dfa, states, length):
     """True iff no word shorter than ``length`` extends the given subset.
 

@@ -118,6 +118,17 @@ def test_layers(tmp_path, capsys):
     assert "limit reached" in capsys.readouterr().out
 
 
+def test_layers_and_analyze_agree_on_one_state(tmp_path, capsys):
+    path = tmp_path / "one.txt"
+    path.write_text("1 1\n1\n")
+    assert main(["layers", str(path), "--trace"]) == 0
+    out = capsys.readouterr().out
+    assert "L_0: {q1}" in out
+    assert "full set reached at layer 0" in out
+    assert main(["analyze", str(path)]) == 0
+    assert "reset length: 0" in capsys.readouterr().out
+
+
 def test_verify_paper(tmp_path, capsys):
     report = tmp_path / "report.json"
     assert main(["verify-paper", "--max-m", "5", "--max-n", "5",

@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from synchromata import (
+    Dfa,
     StateSet,
     Word,
     a_odd,
@@ -23,7 +26,16 @@ from synchromata import (
     upper_subset,
 )
 
-from helpers import no_shorter_extending_word, o_profile, random_dfa
+from helpers import (
+    no_shorter_extending_word,
+    o_image_bound,
+    o_image_extension_length,
+    o_profile,
+    o_profile_witness,
+    o_reachable_images,
+    o_reset_length,
+    random_dfa,
+)
 
 
 # ---------------------------------------------------------------------
@@ -97,12 +109,34 @@ def test_profile_of_seven_state_family():
     assert report.max_length == 14
 
 
-def test_profile_matches_naive_oracle_on_random_automata():
-    rng = random.Random(55)
-    for _ in range(60):
-        dfa = random_dfa(rng, rng.randint(2, 7), rng.randint(1, 3))
-        report = extension_profile(dfa)
-        assert list(report.per_cardinality_max) == o_profile(dfa)
+@st.composite
+def small_automata(draw):
+    n = draw(st.integers(2, 7))
+    k = draw(st.integers(1, 3))
+    row = st.lists(st.integers(1, n), min_size=n, max_size=n)
+    return Dfa(n, k, draw(st.lists(row, min_size=k, max_size=k)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_automata())
+@example(Dfa(3, 2, [[2, 3, 1], [2, 1, 3]]))  # permutations: nothing extends
+@example(Dfa(2, 1, [[2, 2]]))  # smallest synchronizing lattice
+def test_lattice_reports_match_oracles(dfa):
+    profile = extension_profile(dfa)
+    per_card = o_profile(dfa)
+    assert list(profile.per_cardinality_max) == per_card
+    assert profile.max_length == (None if None in per_card else max(per_card))
+    assert frozenset(profile.witness_set) == o_profile_witness(dfa)
+    if o_reset_length(dfa.rows()) is None:
+        with pytest.raises(ValueError, match="synchronizing"):
+            image_extension_bound(dfa)
+        return
+    count, length, worst = o_image_bound(dfa)
+    report = image_extension_bound(dfa)
+    assert report.reachable_image_count == count
+    assert report.worst_length == length
+    assert frozenset(report.worst_set) == worst
+    assert report.constant_witness == Fraction(length, dfa.n)
 
 
 def test_profile_finite_iff_synchronizing_for_uniform_indegree():
@@ -150,12 +184,13 @@ def test_upper_block_is_not_an_image():
 # image-extension bound
 # ---------------------------------------------------------------------
 
-def test_image_extension_bound_b8():
-    report = image_extension_bound(b_series(4))
-    assert report.reachable_image_count == 240
-    assert report.worst_length == 11
-    assert report.worst_set == StateSet([1, 2], 8)
-    assert report.constant_witness == Fraction(11, 8)
+@pytest.mark.parametrize("m", [4, 5, 6, 7])
+def test_image_extension_bound_b_series(m):
+    report = image_extension_bound(b_series(m))
+    assert report.reachable_image_count == 4 ** m - 2 ** m
+    assert report.worst_length == 3 * m - 1
+    assert report.worst_set == StateSet([m - 3, m - 2], 2 * m)
+    assert report.constant_witness == Fraction(3 * m - 1, 2 * m)
 
 
 def test_image_extension_bound_ternary():
@@ -309,49 +344,25 @@ def test_covered_sets_need_m_letters_to_grow_their_lower_part():
 
 
 def test_image_extension_report_matches_set_oracle():
-    # recompute the worst image-aware extension length with the frozen-set
-    # oracle and compare the whole report; also check the image-aware value
-    # never exceeds the plain extension length when the plain witness ends
-    # in a superset of a larger reachable image
-    from collections import deque
-
-    from helpers import o_preimage_word
-
+    # the frozenset oracle gives the whole report; the image-aware length
+    # never exceeds the plain extension length when the plain witness
+    # ends in a superset of a larger reachable image
     dfa = b_series(4)
     rows = dfa.rows()
-    reach = [frozenset(s) for s in reachable_images(dfa)]
-    full = frozenset(range(1, 9))
-    worst = 0
+    reach = o_reachable_images(rows)
     for s in reach:
-        if s == full:
+        if len(s) == dfa.n:
             continue
-
-        def contains_larger(current):
-            return any(len(t) > len(s) and t <= current for t in reach)
-
-        dist = {s: 0}
-        queue = deque([s])
-        found = None
-        while queue and found is None:
-            cur = queue.popleft()
-            for a in range(dfa.k):
-                nxt = o_preimage_word(rows, cur, [a])
-                if nxt in dist:
-                    continue
-                dist[nxt] = dist[cur] + 1
-                if contains_larger(nxt):
-                    found = dist[nxt]
-                    break
-                queue.append(nxt)
+        found = o_image_extension_length(rows, reach, s)
         assert found is not None
-        worst = max(worst, found)
         plain = shortest_extending_word(dfa, StateSet(sorted(s), 8))
         if plain is not None:
             final = frozenset(preimage_word(dfa, StateSet(sorted(s), 8), plain))
-            if contains_larger(final):
+            if any(len(t) > len(s) and t <= final for t in reach):
                 assert found <= len(plain)
     report = image_extension_bound(dfa)
-    assert report.worst_length == worst == 11
+    assert (report.reachable_image_count, report.worst_length,
+            frozenset(report.worst_set)) == o_image_bound(dfa) == (240, 11, {1, 2})
     # the worst pair's endpoint is itself a reachable image, so both
     # extension notions coincide there
     assert frozenset([1, 4, 7]) in reach

@@ -34,6 +34,7 @@ def test_individual_checks_pass():
     assert all(r.ok for r in check_b_series_extension(6))
     assert all(r.ok for r in check_b_series_avoiding(6))
     assert all(r.ok for r in check_image_extension_constant())
+    assert all(r.ok for r in check_image_extension_constant(7))
     assert all(r.ok for r in check_ternary_series(5))
     assert all(r.ok for r in check_ternary_layers(6))
     assert all(r.ok for r in check_cerny_baseline(5))
@@ -59,6 +60,8 @@ def test_parameter_validation():
         check_conservative(8)
     with pytest.raises(ValueError):
         check_ternary_series(2)
+    with pytest.raises(ValueError):
+        check_image_extension_constant(8)
     with pytest.raises(ValueError):
         run_all(max_m=3)
 

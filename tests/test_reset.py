@@ -53,6 +53,8 @@ def test_single_state_resets_with_empty_word():
     dfa = make_dfa(1, 1, [[1]])
     assert shortest_reset_word(dfa) == Word()
     assert reset_length(dfa) == 0
+    trace = inverse_layers(dfa)
+    assert trace.found_at == 0 and trace.layers == ((dfa.full_set(),),)
 
 
 def test_witness_word_synchronizes():
@@ -242,7 +244,8 @@ def transition_rows(draw):
 def naive_layers(rows):
     """Layer families by the plain antichain rule over frozensets.
 
-    A candidate is kept when it is not a singleton, not inside a set kept
+    L_0 is the mergeable singletons, or the full set when n = 1.  A
+    candidate is kept when it is not a singleton, not inside a set kept
     in an earlier layer, and not a proper subset of a same-round candidate.
     Runs until the full set appears or a layer comes out empty.
     """
@@ -250,7 +253,7 @@ def naive_layers(rows):
     full = frozenset(range(1, n + 1))
     level = [
         frozenset([q]) for q in range(1, n + 1)
-        if any(len(o_preimage(rows, {q}, a)) >= 2 for a in range(k))
+        if n == 1 or any(len(o_preimage(rows, {q}, a)) >= 2 for a in range(k))
     ]
     layers = [level]
     kept = list(level)
