@@ -10,19 +10,20 @@ Run with:  python demos/image_extension.py
 """
 
 from synchromata import (
+    FamilySpec,
     StateSet,
     a_odd,
     b_series,
     image_extension_bound,
+    named_subset,
     reachable_images,
     shortest_avoiding_word,
     shortest_extending_word,
-    upper_subset,
 )
 
 dfa = a_odd(5)
 images = reachable_images(dfa)
-upper = upper_subset(dfa)
+upper = named_subset(FamilySpec("a-odd", 5), "upper")
 print(f"The 9-state odd member has {len(images)} reachable images out of "
       f"{2 ** 9} subsets.")
 print(f"Its hard-to-extend upper cycle {upper} is an image? "

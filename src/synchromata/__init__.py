@@ -16,7 +16,6 @@ from .automaton import (
     is_compressible,
     is_strongly_connected,
     is_synchronizing,
-    make_dfa,
     preimage,
     preimage_word,
     rank,
@@ -45,13 +44,11 @@ from .families import (
     cerny,
     conservative,
     greedy_extending_word,
-    is_covered,
     m_prime_series,
     m_prime_series_sync_word,
     m_series,
     m_series_sync_word,
     named_subset,
-    upper_subset,
 )
 from .replication import (
     ClaimResult,
@@ -98,7 +95,6 @@ __all__ = [
     "image_extension_bound",
     "inverse_layers",
     "is_compressible",
-    "is_covered",
     "is_irreducibly_synchronizing",
     "is_strongly_connected",
     "is_synchronizing",
@@ -106,7 +102,6 @@ __all__ = [
     "m_prime_series_sync_word",
     "m_series",
     "m_series_sync_word",
-    "make_dfa",
     "named_subset",
     "preimage",
     "preimage_word",
@@ -119,5 +114,4 @@ __all__ = [
     "shortest_compressing_word",
     "shortest_extending_word",
     "shortest_reset_word",
-    "upper_subset",
 ]

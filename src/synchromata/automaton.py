@@ -4,12 +4,19 @@ States are numbered 1..n in every public interface; letters are named
 a, b, c, ... and mapped to indices 0..k-1 in order.  Words act left to
 right (the first letter is applied first), so preimages of a word fold
 over its letters from the last one back to the first.
+
+Every single-source search over the subset lattice (shortest reset,
+compressing, extending and avoiding words, and the reachable images)
+runs on one kernel, :func:`_shortest_word`: a level-by-level
+breadth-first search from one mask by image or preimage steps, each step
+two lookups in split tables that are built once per automaton, with a
+goal test on each completed level.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 #: Width of the subset bitmask; automata larger than this are rejected.
 MAX_STATES = 24
@@ -28,14 +35,6 @@ def letter_name(a: int) -> str:
     return LETTER_NAMES[a]
 
 
-def letter_index(name: str, k: Optional[int] = None) -> int:
-    """Map a letter name ('a', 'b', ...) to its index."""
-    idx = LETTER_NAMES.find(name)
-    if idx < 0 or (k is not None and idx >= k):
-        raise ValueError(f"unknown letter {name!r}")
-    return idx
-
-
 class Word:
     """An immutable sequence of letter indices.  The empty word is allowed."""
 
@@ -45,11 +44,6 @@ class Word:
         object.__setattr__(self, "letters", tuple(letters))
         if any(a < 0 for a in self.letters):
             raise ValueError("letter indices must be non-negative")
-
-    @classmethod
-    def parse(cls, text: str, k: Optional[int] = None) -> "Word":
-        """Build a word from a letter-name string such as 'bab'."""
-        return cls(letter_index(ch, k) for ch in text)
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
@@ -82,14 +76,6 @@ class Word:
 WordLike = Union[Word, str, Sequence[int]]
 
 
-def as_word(w: WordLike, k: Optional[int] = None) -> Word:
-    if isinstance(w, Word):
-        return w
-    if isinstance(w, str):
-        return Word.parse(w, k)
-    return Word(w)
-
-
 class StateSet:
     """A subset of the states of an n-state automaton, stored as a bitmask.
 
@@ -119,10 +105,6 @@ class StateSet:
     @classmethod
     def full(cls, n: int) -> "StateSet":
         return cls.from_mask((1 << n) - 1, n)
-
-    @classmethod
-    def empty(cls, n: int) -> "StateSet":
-        return cls.from_mask(0, n)
 
     def __setattr__(self, name, value):
         raise AttributeError("StateSet is immutable")
@@ -165,9 +147,6 @@ class StateSet:
     def __le__(self, other: "StateSet") -> bool:
         return self.mask & ~other.mask == 0
 
-    def __lt__(self, other: "StateSet") -> bool:
-        return self.mask != other.mask and self <= other
-
     def __str__(self) -> str:
         return "{" + ", ".join(f"q{q}" for q in self) + "}"
 
@@ -181,11 +160,13 @@ class Dfa:
     ``rows`` holds one row per letter with n entries, each a 1-based
     successor index: rows[a][i-1] is where letter a sends state q_i.
     Per-letter preimage masks are precomputed at construction because
-    preimages are the hot path of every analysis.  Instances are
-    immutable and safe to share between threads.
+    preimages are the hot path of every analysis; the split tables of the
+    search kernel are built on first use and kept with the automaton.
+    Instances are immutable (the tables are a cache, outside equality and
+    hashing) and safe to share between threads.
     """
 
-    __slots__ = ("n", "k", "delta", "inverse", "full_mask", "letters")
+    __slots__ = ("n", "k", "delta", "inverse", "full_mask", "letters", "_steps")
 
     def __init__(
         self,
@@ -231,6 +212,8 @@ class Dfa:
                 inv[delta[a][q]] |= 1 << q
             inverse.append(tuple(inv))
         object.__setattr__(self, "inverse", tuple(inverse))
+        # split tables for preimage (index 0) and image (1) steps, see _step_tables
+        object.__setattr__(self, "_steps", [None, None])
 
     def __setattr__(self, name, value):
         raise AttributeError("Dfa is immutable")
@@ -274,13 +257,6 @@ class Dfa:
     def word_str(self, w: Word) -> str:
         """Render a word with this automaton's letter names."""
         return "".join(self.letters[a] for a in w)
-
-
-def make_dfa(
-    n: int, k: int, rows: Sequence[Sequence[int]], letters: Optional[str] = None
-) -> Dfa:
-    """Construct a Dfa from k rows of n 1-based successor indices."""
-    return Dfa(n, k, rows, letters)
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +320,63 @@ def _split_tables(
     return h, tables
 
 
+def _step_tables(dfa: Dfa, forward: bool) -> tuple[int, list[tuple[list[int], list[int]]]]:
+    """The split tables of image (forward) or preimage steps of dfa.
+
+    Built on first use and kept in the automaton, so every later search
+    on it starts without set-up.  Two threads racing on the first use
+    build equal tables, and either may be kept.
+    """
+    tables = dfa._steps[forward]
+    if tables is None:
+        contrib = [[1 << t for t in row] for row in dfa.delta] if forward else dfa.inverse
+        tables = dfa._steps[forward] = _split_tables(dfa.n, contrib)
+    return tables
+
+
+def _shortest_word(
+    dfa: Dfa, forward: bool, start: int, goal: Callable[[list[int]], Optional[int]]
+) -> tuple[Optional[list[int]], dict[int, int]]:
+    """Shortest path from start to a goal set by image or preimage steps.
+
+    Level-by-level breadth-first search over masks, memoized in
+    ``parent``, where each mask reached stores its predecessor and the
+    letter into it as one int, ``prev * k + letter`` (-1 for start).
+    ``goal`` gets [start] and then each completed level, in discovery
+    order, and returns the first goal mask in it or None.  Returns the
+    letters of the steps to that mask in step order, or None if no level
+    holds one, together with ``parent``, whose keys are every mask
+    reached.  Ties between equal-length paths are broken by letter order.
+    """
+    k = dfa.k
+    h, tables = _step_tables(dfa, forward)
+    low_bits = (1 << h) - 1
+    parent = {start: -1}
+    level = [start]
+    found = goal(level)
+    while found is None and level:
+        following = []
+        for cur in level:
+            lo_key, hi_key = cur & low_bits, cur >> h
+            link = cur * k
+            for lo, hi in tables:
+                nxt = lo[lo_key] | hi[hi_key]
+                if nxt not in parent:
+                    parent[nxt] = link
+                    following.append(nxt)
+                link += 1
+        level = following
+        found = goal(level)
+    if found is None:
+        return None, parent
+    letters = []
+    while found != start:
+        found, letter = divmod(parent[found], k)
+        letters.append(letter)
+    letters.reverse()
+    return letters, parent
+
+
 def _check_set(dfa: Dfa, s: StateSet) -> int:
     if s.n != dfa.n:
         raise ValueError(f"state set is over {s.n} states, automaton has {dfa.n}")
@@ -362,7 +395,7 @@ def _check_letter(dfa: Dfa, a: Union[int, str]) -> int:
 
 
 def _check_word(dfa: Dfa, w: WordLike) -> Word:
-    word = dfa.word(w) if isinstance(w, str) else as_word(w)
+    word = dfa.word(w) if isinstance(w, str) else Word(w)
     for a in word:
         if a >= dfa.k:
             raise ValueError(f"letter index {a} out of range for k={dfa.k}")
@@ -410,19 +443,11 @@ def shortest_compressing_word(dfa: Dfa, s: StateSet) -> Optional[Word]:
     card = mask.bit_count()
     if card < 2:
         raise ValueError("compressibility needs a set of at least two states")
-    seen = {mask}
-    queue = deque([(mask, ())])
-    while queue:
-        cur, w = queue.popleft()
-        for a in range(dfa.k):
-            nxt = image_mask(dfa, cur, a)
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            if nxt.bit_count() < card:
-                return Word(w + (a,))
-            queue.append((nxt, w + (a,)))
-    return None
+    letters, _ = _shortest_word(
+        dfa, True, mask,
+        lambda level: next((m for m in level if m.bit_count() < card), None),
+    )
+    return None if letters is None else Word(letters)
 
 
 def is_compressible(dfa: Dfa, s: StateSet) -> bool:

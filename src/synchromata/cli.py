@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success (and when every checked claim passes), 1 when a
 claim or property check fails or two independent computations disagree
-(ConsistencyError), 2 on usage or input errors.
+(ConsistencyError), 2 on usage or input errors, 3 when a search runs out
+of memory (MemoryError), 130 when interrupted (KeyboardInterrupt).  Every
+error exit prints one ``error:`` line to stderr.
 """
 
 from __future__ import annotations
@@ -259,6 +261,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 3
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

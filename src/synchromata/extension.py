@@ -5,6 +5,12 @@ larger than S.  Searches here never prune by cardinality: a shortest
 extending path may dip far below |S| before growing, so the full
 preimage-step graph over the subset lattice is explored.
 
+The single-subset searches are thin wrappers over the search kernel of
+the automaton module: the extending word by preimage steps from S with
+goal |T| > |S| (the word is the steps in reverse), the avoiding word by
+image steps from the full set with goal "q missing", and the reachable
+images as every set an unbounded image search from the full set meets.
+
 Both whole-lattice reports run on one kernel, :func:`_worst_distances`.
 For each query set S of size c it finds the shortest word w such that
 S·w⁻¹ contains a query set larger than S, that is f0[S·w⁻¹] > c with
@@ -18,7 +24,8 @@ reports themselves need at up to 12 states.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
+from collections.abc import KeysView
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -32,9 +39,8 @@ from .automaton import (
     StateSet,
     Word,
     _check_set,
-    image_mask,
+    _shortest_word,
     is_synchronizing,
-    preimage_mask,
     remove_letter,
 )
 
@@ -57,26 +63,12 @@ def shortest_extending_word(dfa: Dfa, s: StateSet) -> Optional[Word]:
     if mask == 0 or mask == dfa.full_mask:
         raise ValueError("extending needs a non-empty proper subset")
     card = mask.bit_count()
-    parent: dict[int, tuple[int, int]] = {mask: (-1, -1)}
-    queue = deque([mask])
-    while queue:
-        cur = queue.popleft()
-        for a in range(dfa.k):
-            nxt = preimage_mask(dfa, cur, a)
-            if nxt in parent:
-                continue
-            parent[nxt] = (cur, a)
-            if nxt.bit_count() > card:
-                letters = []
-                node = nxt
-                while node != mask:
-                    prev, letter = parent[node]
-                    letters.append(letter)
-                    node = prev
-                # the letter into the final set is the first letter of w
-                return Word(letters)
-            queue.append(nxt)
-    return None
+    letters, _ = _shortest_word(
+        dfa, False, mask,
+        lambda level: next((m for m in level if m.bit_count() > card), None),
+    )
+    # the letter of the last preimage step is the first letter of the word
+    return None if letters is None else Word(reversed(letters))
 
 
 @dataclass(frozen=True)
@@ -198,17 +190,10 @@ def extension_profile(dfa: Dfa, bound: int = PROFILE_BOUND) -> ExtensionReport:
     )
 
 
-def _reachable_masks(dfa: Dfa) -> set[int]:
-    seen = {dfa.full_mask}
-    queue = deque([dfa.full_mask])
-    while queue:
-        cur = queue.popleft()
-        for a in range(dfa.k):
-            nxt = image_mask(dfa, cur, a)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return seen
+def _reachable_masks(dfa: Dfa) -> KeysView[int]:
+    """Every image of the full set: the masks one unbounded search reaches."""
+    _, parent = _shortest_word(dfa, True, dfa.full_mask, lambda level: None)
+    return parent.keys()
 
 
 def reachable_images(dfa: Dfa) -> tuple[StateSet, ...]:
@@ -285,20 +270,11 @@ def shortest_avoiding_word(dfa: Dfa, q: int) -> Optional[Word]:
     if not 1 <= q <= dfa.n:
         raise ValueError(f"state {q} out of range 1..{dfa.n}")
     bit = 1 << (q - 1)
-    start = dfa.full_mask
-    seen = {start}
-    queue = deque([(start, ())])
-    while queue:
-        cur, w = queue.popleft()
-        for a in range(dfa.k):
-            nxt = image_mask(dfa, cur, a)
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            if not nxt & bit:
-                return Word(w + (a,))
-            queue.append((nxt, w + (a,)))
-    return None
+    letters, _ = _shortest_word(
+        dfa, True, dfa.full_mask,
+        lambda level: next((m for m in level if not m & bit), None),
+    )
+    return None if letters is None else Word(letters)
 
 
 def is_irreducibly_synchronizing(dfa: Dfa) -> bool:

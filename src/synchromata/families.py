@@ -258,25 +258,6 @@ def named_subset(spec: FamilySpec, which: str) -> StateSet:
     raise ValueError(f"unknown subset name {which!r}; use 'upper' or 'lower'")
 
 
-def upper_subset(dfa: Dfa) -> StateSet:
-    """Upper block of an a-odd automaton given by its state count."""
-    if dfa.n % 2 == 0 or dfa.n < 5:
-        raise ValueError("expected an a-odd family automaton (odd n >= 5)")
-    m = (dfa.n + 1) // 2
-    return StateSet(range(m + 1, dfa.n + 1), dfa.n)
-
-
-def is_covered(dfa: Dfa, s: StateSet, q: int) -> bool:
-    """In an a-odd automaton, an upper state of s is covered if b keeps it in s.
-
-    Requires q to lie in the intersection of s with the upper block.
-    """
-    upper = upper_subset(dfa)
-    if q not in s or q not in upper:
-        raise ValueError(f"state q{q} is not in the upper part of the set")
-    return dfa.step(q, B) in s
-
-
 # ---------------------------------------------------------------------------
 # explicit words
 # ---------------------------------------------------------------------------
@@ -334,7 +315,7 @@ def greedy_extending_word(m: int) -> Word:
     if m < 4:
         raise ValueError(f"need m >= 4, got {m}")
     dfa = a_odd(m)
-    target = upper_subset(dfa)
+    target = named_subset(FamilySpec("a-odd", m), "upper")
     goal = len(target)
     best = None
     for d in range(2, m + 3):

@@ -114,13 +114,15 @@ def check_a_odd_sync(m: int) -> list[ClaimResult]:
 
 
 def check_upper_extension(m: int) -> list[ClaimResult]:
-    """Shortest extension of the upper block sits in the proven bracket.
+    """Shortest extension of the upper block: the bracket and its exact value.
 
+    The length sits in the proven bracket, and it equals the greedy
+    length exactly, the abstract's n^2/4 + O(n) (checked for m <= 12).
     The greedy word must itself be a valid extending word of exactly the
     bracket's upper length.
     """
-    if not 4 <= m <= 8:
-        raise ValueError(f"supported range is 4 <= m <= 8, got {m}")
+    if not 4 <= m <= 12:
+        raise ValueError(f"supported range is 4 <= m <= 12, got {m}")
     dfa = a_odd(m)
     upper = named_subset(FamilySpec("a-odd", m), "upper")
     word = shortest_extending_word(dfa, upper)
@@ -131,6 +133,7 @@ def check_upper_extension(m: int) -> list[ClaimResult]:
     valid = len(preimage_word(dfa, upper, greedy)) > len(upper)
     return [
         _bound("a-odd-extension-bracket", m, lo, hi, len(word), witness=word),
+        _exact("a-odd-upper-extension", m, hi, len(word), witness=word),
         _exact("a-odd-greedy-upper", m, hi, len(greedy), witness=greedy,
                gate=valid),
     ]
@@ -303,7 +306,7 @@ def run_all(max_m: int = 8, max_n: int = 10) -> list[ClaimResult]:
     results: list[ClaimResult] = []
     for m in range(3, min(max_m, 8) + 1):
         results += check_a_odd_sync(m)
-    for m in range(4, min(max_m, 8) + 1):
+    for m in range(4, min(max_m, 12) + 1):
         results += check_upper_extension(m)
     results += check_quadratic_growth(min(max_m, 7))
     for m in range(4, min(max_m, 7) + 1):

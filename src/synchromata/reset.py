@@ -7,11 +7,12 @@ preimages; the first layer containing the full set gives the reset
 length.  Both run in O(2^n k) at worst and must always agree;
 :func:`checked_reset_word` runs each of them once and compares them.
 
-Each search step looks up the image or preimage of a subset in two
-split tables, one for each half of its bits, instead of looping over
-the states.  The layer search finds a candidate's supersets among the
-kept sets by ANDing, over its states, one bitset per state of the kept
-sets that contain that state.
+The forward method is the shared search kernel of the automaton module
+with a singleton as its goal.  Both methods step with the automaton's
+split tables, two lookups per image or preimage of a subset instead of
+a loop over its states.  The layer search finds a candidate's supersets
+among the kept sets by ANDing, over its states, one bitset per state of
+the kept sets that contain that state.
 """
 
 from __future__ import annotations
@@ -26,47 +27,25 @@ from .automaton import (
     Word,
     WordLike,
     _check_word,
-    _split_tables,
+    _shortest_word,
+    _step_tables,
     image_word_mask,
 )
+
+
+def _first_singleton(level: list[int]) -> Optional[int]:
+    return next((m for m in level if m & (m - 1) == 0), None)
 
 
 def shortest_reset_word(dfa: Dfa) -> Optional[Word]:
     """A minimum-length word of rank 1, or None if the automaton never resets.
 
-    Level-by-level breadth-first search over images of the full state
-    set, memoized by bitmask; each image stores its predecessor and
-    letter as one int, ``prev * k + letter``, from which the witness is
-    rebuilt.  Ties between equal-length words are broken by letter order.
+    Breadth-first search over images of the full state set on the
+    shared search kernel, stopping at the first singleton; ties between
+    equal-length words are broken by letter order.
     """
-    start = dfa.full_mask
-    if start.bit_count() == 1:
-        return Word()
-    k = dfa.k
-    h, tables = _split_tables(dfa.n, [[1 << t for t in row] for row in dfa.delta])
-    low_bits = (1 << h) - 1
-    parent = {start: -1}
-    frontier = [start]
-    while frontier:
-        following = []
-        for cur in frontier:
-            lo_key, hi_key = cur & low_bits, cur >> h
-            link = cur * k
-            for lo, hi in tables:
-                nxt = lo[lo_key] | hi[hi_key]
-                if nxt not in parent:
-                    parent[nxt] = link
-                    if nxt & (nxt - 1) == 0:
-                        letters = []
-                        node = nxt
-                        while node != start:
-                            node, letter = divmod(parent[node], k)
-                            letters.append(letter)
-                        return Word(reversed(letters))
-                    following.append(nxt)
-                link += 1
-        frontier = following
-    return None
+    letters, _ = _shortest_word(dfa, True, dfa.full_mask, _first_singleton)
+    return None if letters is None else Word(letters)
 
 
 @dataclass(frozen=True)
@@ -128,7 +107,7 @@ def inverse_layers(dfa: Dfa, limit: Optional[int] = None) -> LayerTrace:
     limit = _resolve_limit(dfa.n, limit)
     n = dfa.n
     full = dfa.full_mask
-    h, tables = _split_tables(n, dfa.inverse)
+    h, tables = _step_tables(dfa, False)
     low_bits = (1 << h) - 1
 
     level0 = [

@@ -53,6 +53,35 @@ def o_reset_length(rows):
     return None
 
 
+def o_shortest_word(rows, start, goal, forward=True):
+    """First shortest word from start to a set that satisfies goal, or None.
+
+    Breadth-first search over frozensets with the letters tried in order.
+    With ``forward`` each step moves the set by one more letter at the end
+    of the word; otherwise each step takes the preimage under one more
+    letter at the front.  Either way the word returned is the first, in
+    letter order of its steps, among the shortest ones: the word itself
+    for image steps, the word read backwards for preimage steps.
+    """
+    start = frozenset(start)
+    if goal(start):
+        return []
+    seen = {start}
+    queue = deque([(start, [])])
+    while queue:
+        cur, steps = queue.popleft()
+        for a in range(len(rows)):
+            nxt = o_image(rows, cur, [a]) if forward else o_preimage(rows, cur, a)
+            if nxt in seen:
+                continue
+            seen.add(nxt)
+            if goal(nxt):
+                steps = steps + [a]
+                return steps if forward else steps[::-1]
+            queue.append((nxt, steps + [a]))
+    return None
+
+
 def o_extending_length(dfa: Dfa, mask: int):
     """Shortest extending length by per-subset BFS with per-state preimage scans."""
     rows = dfa.rows()

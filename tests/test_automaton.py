@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from synchromata import (
+    Dfa,
     StateSet,
     Word,
     a_odd,
@@ -12,17 +15,25 @@ from synchromata import (
     is_strongly_connected,
     is_synchronizing,
     m_series,
-    make_dfa,
     preimage,
     preimage_word,
     rank,
+    reachable_images,
     remove_letter,
+    shortest_avoiding_word,
     shortest_compressing_word,
+    shortest_extending_word,
     shortest_reset_word,
 )
-from synchromata.automaton import MAX_STATES
+from synchromata.automaton import MAX_STATES, _step_tables
 
-from helpers import o_image, o_preimage_word, random_dfa
+from helpers import (
+    o_image,
+    o_preimage_word,
+    o_reachable_images,
+    o_shortest_word,
+    random_dfa,
+)
 
 
 # ---------------------------------------------------------------------
@@ -30,7 +41,7 @@ from helpers import o_image, o_preimage_word, random_dfa
 # ---------------------------------------------------------------------
 
 def test_single_state_self_loop():
-    dfa = make_dfa(1, 1, [[1]])
+    dfa = Dfa(1, 1, [[1]])
     assert dfa.n == 1 and dfa.k == 1
     assert dfa.step(1, 0) == 1
 
@@ -45,25 +56,25 @@ def test_a5_table_matches_definition():
 
 def test_out_of_range_entry_names_letter_and_state():
     with pytest.raises(ValueError, match=r"letter a, state q2.*0"):
-        make_dfa(3, 1, [[2, 0, 1]])
+        Dfa(3, 1, [[2, 0, 1]])
     with pytest.raises(ValueError, match=r"letter b, state q3.*4"):
-        make_dfa(3, 2, [[2, 3, 1], [1, 2, 4]])
+        Dfa(3, 2, [[2, 3, 1], [1, 2, 4]])
 
 
 def test_size_limits():
     with pytest.raises(ValueError, match="mask width"):
-        make_dfa(MAX_STATES + 1, 1, [[1] * (MAX_STATES + 1)])
+        Dfa(MAX_STATES + 1, 1, [[1] * (MAX_STATES + 1)])
     with pytest.raises(ValueError):
-        make_dfa(0, 1, [[]])
+        Dfa(0, 1, [[]])
     with pytest.raises(ValueError):
-        make_dfa(2, 0, [])
+        Dfa(2, 0, [])
 
 
 def test_row_shape_validation():
     with pytest.raises(ValueError, match="rows"):
-        make_dfa(2, 2, [[1, 2]])
+        Dfa(2, 2, [[1, 2]])
     with pytest.raises(ValueError, match="entries"):
-        make_dfa(2, 1, [[1, 2, 1]])
+        Dfa(2, 1, [[1, 2, 1]])
 
 
 def test_inverse_tables_consistent_with_delta():
@@ -94,13 +105,15 @@ def test_dfa_immutable_and_comparable():
 # ---------------------------------------------------------------------
 
 def test_word_basics():
-    w = Word.parse("bab")
+    w = cerny(4).word("bab")
     assert list(w) == [1, 0, 1]
-    assert str(w + Word.parse("a") * 3) == "babaaa"
+    assert str(w + Word([0]) * 3) == "babaaa"
     assert len(Word()) == 0
-    assert Word.parse("") == Word()
+    assert cerny(4).word("") == Word()
     with pytest.raises(ValueError):
-        Word.parse("bz", k=2)
+        cerny(4).word("bz")
+    with pytest.raises(ValueError):
+        Word([0, -1])
 
 
 def test_stateset_basics():
@@ -110,7 +123,7 @@ def test_stateset_basics():
     assert str(s) == "{q1, q2, q5}"
     assert (s | StateSet([3], 9)).states() == (1, 2, 3, 5)
     assert (s - StateSet([2], 9)).states() == (1, 5)
-    assert StateSet([1], 9) <= s and StateSet([1], 9) < s
+    assert StateSet([1], 9) <= s and not s <= StateSet([1], 9)
     with pytest.raises(ValueError):
         StateSet([10], 9)
     with pytest.raises(ValueError):
@@ -232,13 +245,13 @@ def test_words_and_letters_are_validated_against_the_alphabet():
 def test_compressible_pairs():
     from synchromata import b_series
 
-    assert shortest_compressing_word(b_series(4), StateSet([4, 7], 8)) == Word.parse("b")
-    assert shortest_compressing_word(cerny(4), StateSet([1, 2], 4)) == Word.parse("b")
+    assert shortest_compressing_word(b_series(4), StateSet([4, 7], 8)) == Word([1])
+    assert shortest_compressing_word(cerny(4), StateSet([1, 2], 4)) == Word([1])
 
 
 def test_permutation_only_automaton_incompressible():
     # both letters permute, so every subset keeps its size forever
-    dfa = make_dfa(4, 2, [[2, 3, 4, 1], [2, 1, 4, 3]])
+    dfa = Dfa(4, 2, [[2, 3, 4, 1], [2, 1, 4, 3]])
     for mask in range(3, 16):
         s = StateSet.from_mask(mask, 4)
         if len(s) >= 2:
@@ -248,6 +261,62 @@ def test_permutation_only_automaton_incompressible():
 def test_compressible_precondition():
     with pytest.raises(ValueError):
         is_compressible(cerny(4), StateSet([1], 4))
+
+
+# ---------------------------------------------------------------------
+# the shared search kernel: exact words and the step-table cache
+# ---------------------------------------------------------------------
+
+@st.composite
+def rows_and_subset(draw):
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 3))
+    row = st.lists(st.integers(1, n), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=k, max_size=k))
+    return rows, draw(st.integers(1, (1 << n) - 1))
+
+
+def _letters(word):
+    return None if word is None else list(word)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows_and_subset())
+@example(([[1]], 1))                    # n = 1: the start is already a singleton
+@example(([[1, 1], [2, 2]], 3))         # both letters reset: the first one wins
+@example(([[2, 3, 1]], 3))              # a permutation: no search reaches its goal
+@example(([[2, 3, 3], [1, 3, 1]], 2))   # extending word "ba": its steps reversed
+def test_search_words_match_frozenset_oracle(case):
+    rows, mask = case
+    n, k = len(rows[0]), len(rows)
+    dfa = Dfa(n, k, rows)
+    full = range(1, n + 1)
+    s = frozenset(q for q in full if mask >> (q - 1) & 1)
+    subset = StateSet(s, n)
+    assert _letters(shortest_reset_word(dfa)) == o_shortest_word(
+        rows, full, lambda t: len(t) == 1)
+    for q in full:
+        assert _letters(shortest_avoiding_word(dfa, q)) == o_shortest_word(
+            rows, full, lambda t: q not in t)
+    assert set(reachable_images(dfa)) == {StateSet(t, n) for t in o_reachable_images(rows)}
+    if len(s) >= 2:
+        assert _letters(shortest_compressing_word(dfa, subset)) == o_shortest_word(
+            rows, s, lambda t: len(t) < len(s))
+    if len(s) < n:
+        assert _letters(shortest_extending_word(dfa, subset)) == o_shortest_word(
+            rows, s, lambda t: len(t) > len(s), forward=False)
+
+
+def test_step_tables_are_a_cache_outside_equality():
+    rows = [[2, 3, 4, 1], [1, 1, 3, 4]]
+    cached, fresh = Dfa(4, 2, rows), Dfa(4, 2, rows)
+    shortest_reset_word(cached)
+    shortest_extending_word(cached, StateSet([1], 4))
+    assert _step_tables(cached, True) is _step_tables(cached, True)
+    assert cached == fresh and hash(cached) == hash(fresh)
+    assert {cached: 1}[fresh] == 1
+    with pytest.raises(AttributeError):
+        cached._steps = [None, None]
 
 
 # ---------------------------------------------------------------------
@@ -262,14 +331,14 @@ def test_strongly_connected_families():
 
 
 def test_not_strongly_connected():
-    dfa = make_dfa(2, 1, [[1, 2]])  # two separate self-loops
+    dfa = Dfa(2, 1, [[1, 2]])  # two separate self-loops
     assert not is_strongly_connected(dfa)
 
 
 def test_synchronizing_predicate():
     assert is_synchronizing(m_series(5))
     assert not is_synchronizing(remove_letter(m_series(5), "a"))
-    assert is_synchronizing(make_dfa(1, 1, [[1]]))
+    assert is_synchronizing(Dfa(1, 1, [[1]]))
 
 
 def test_synchronizing_iff_reset_word_exists():
@@ -305,4 +374,4 @@ def test_remove_letter_breaks_a_odd():
 
 def test_remove_only_letter_fails():
     with pytest.raises(ValueError):
-        remove_letter(make_dfa(2, 1, [[2, 1]]), 0)
+        remove_letter(Dfa(2, 1, [[2, 1]]), 0)

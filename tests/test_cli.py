@@ -3,7 +3,7 @@ import json
 import pytest
 
 import synchromata.reset as reset_mod
-from synchromata import Word, b_series, cerny, m_series
+from synchromata import ConsistencyError, Word, b_series, cerny, m_series
 from synchromata.cli import main
 from synchromata.io import from_json, to_json, to_text
 from synchromata.replication import ClaimResult
@@ -230,3 +230,25 @@ def test_analyze_rejects_non_integer_tables(tmp_path, doc, capsys):
     out, err = capsys.readouterr()
     assert "states:" not in out
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "error, code, message",
+    [
+        (ValueError("bad input"), 2, "error: bad input"),
+        (ConsistencyError("methods disagree"), 1, "error: methods disagree"),
+        (MemoryError(), 3, "error: out of memory"),
+        (KeyboardInterrupt(), 130, "error: interrupted"),
+    ],
+    ids=["value-error", "consistency-error", "memory-error", "interrupt"],
+)
+def test_errors_map_to_exit_codes(c3_path, monkeypatch, capsys, error, code, message):
+    import synchromata.cli as cli_mod
+
+    def failing(args):
+        raise error
+
+    monkeypatch.setattr(cli_mod, "cmd_analyze", failing)
+    assert main(["analyze", c3_path]) == code
+    err = capsys.readouterr().err
+    assert err.strip() == message

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from synchromata import (
     Dfa,
+    FamilySpec,
     StateSet,
     Word,
     a_odd,
@@ -18,13 +19,14 @@ from synchromata import (
     is_irreducibly_synchronizing,
     m_prime_series,
     m_series,
-    make_dfa,
+    named_subset,
     preimage_word,
     reachable_images,
     shortest_avoiding_word,
     shortest_extending_word,
-    upper_subset,
 )
+
+from synchromata.replication import greedy_length_formula
 
 from helpers import (
     no_shorter_extending_word,
@@ -55,14 +57,33 @@ def test_b_series_pair_extension():
 
 def test_upper_block_extension_bracket():
     dfa = a_odd(5)
-    word = shortest_extending_word(dfa, upper_subset(dfa))
+    word = shortest_extending_word(dfa, named_subset(FamilySpec("a-odd", 5), "upper"))
     assert word is not None and 7 <= len(word) <= 22
     assert len(word) == 22
 
 
+@pytest.mark.parametrize("m", range(4, 13))
+def test_a_odd_upper_extension_is_the_greedy_length(m):
+    dfa = a_odd(m)
+    upper = named_subset(FamilySpec("a-odd", m), "upper")
+    word = shortest_extending_word(dfa, upper)
+    assert len(word) == greedy_length_formula(m)
+    assert len(preimage_word(dfa, upper, word)) > len(upper)
+
+
+@pytest.mark.parametrize("m", range(4, 9))
+def test_a_odd_profile_maximum_is_the_upper_block(m):
+    dfa = a_odd(m)
+    upper = named_subset(FamilySpec("a-odd", m), "upper")
+    report = extension_profile(dfa)
+    assert report.max_length == greedy_length_formula(m)
+    assert report.witness_set == upper
+    assert report.witness_word == shortest_extending_word(dfa, upper)
+
+
 def test_single_state_extension():
     word = shortest_extending_word(cerny(4), StateSet([2], 4))
-    assert word == Word.parse("b")
+    assert word == Word([1])
 
 
 def test_extension_preconditions():
@@ -141,11 +162,11 @@ def test_lattice_reports_match_oracles(dfa):
 
 def test_profile_finite_iff_synchronizing_for_uniform_indegree():
     # letters with uniform combined in-degree: synchronizing case
-    balanced = make_dfa(3, 2, [[1, 1, 2], [3, 3, 2]])
+    balanced = Dfa(3, 2, [[1, 1, 2], [3, 3, 2]])
     report = extension_profile(balanced)
     assert report.max_length is not None
     # all-permutation automaton: nothing is ever extendable
-    rigid = make_dfa(3, 2, [[2, 3, 1], [2, 1, 3]])
+    rigid = Dfa(3, 2, [[2, 3, 1], [2, 1, 3]])
     report = extension_profile(rigid)
     assert report.max_length is None
     assert report.witness_word is None
@@ -177,7 +198,7 @@ def test_reachable_images_of_b_series():
 
 def test_upper_block_is_not_an_image():
     dfa = a_odd(5)
-    assert upper_subset(dfa) not in reachable_images(dfa)
+    assert named_subset(FamilySpec("a-odd", 5), "upper") not in reachable_images(dfa)
 
 
 # ---------------------------------------------------------------------
@@ -199,7 +220,7 @@ def test_image_extension_bound_ternary():
 
 
 def test_image_extension_needs_synchronizing_input():
-    spinner = make_dfa(3, 1, [[2, 3, 1]])
+    spinner = Dfa(3, 1, [[2, 3, 1]])
     with pytest.raises(ValueError, match="synchronizing"):
         image_extension_bound(spinner)
 
@@ -216,11 +237,11 @@ def test_avoiding_loop_state_of_b_series():
 
 
 def test_avoiding_unreachable_entry_state():
-    assert shortest_avoiding_word(m_series(4), 1) == Word.parse("a")
+    assert shortest_avoiding_word(m_series(4), 1) == Word([0])
 
 
 def test_avoiding_impossible_in_permutation_automaton():
-    spinner = make_dfa(3, 1, [[2, 3, 1]])
+    spinner = Dfa(3, 1, [[2, 3, 1]])
     for q in (1, 2, 3):
         assert shortest_avoiding_word(spinner, q) is None
     with pytest.raises(ValueError):
@@ -273,12 +294,12 @@ def test_ternary_series_irreducible():
 def test_duplicate_letter_is_reducible():
     base = cerny(4)
     rows = base.rows()
-    padded = make_dfa(4, 3, rows + [rows[1]])
+    padded = Dfa(4, 3, rows + [rows[1]])
     assert not is_irreducibly_synchronizing(padded)
 
 
 def test_irreducibility_needs_synchronizing_input():
-    spinner = make_dfa(3, 1, [[2, 3, 1]])
+    spinner = Dfa(3, 1, [[2, 3, 1]])
     with pytest.raises(ValueError):
         is_irreducibly_synchronizing(spinner)
 

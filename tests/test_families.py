@@ -13,7 +13,6 @@ from synchromata import (
     conservative,
     greedy_extending_word,
     image,
-    is_covered,
     is_strongly_connected,
     is_synchronizing,
     m_prime_series,
@@ -148,21 +147,6 @@ def test_named_subsets():
         named_subset(FamilySpec("m-series", 5), "upper")
     with pytest.raises(ValueError, match="unknown subset"):
         named_subset(spec, "middle")
-
-
-def test_covered_states():
-    dfa = a_odd(5)
-    upper_plus_q1 = StateSet([1, 6, 7, 8, 9], 9)
-    assert is_covered(dfa, upper_plus_q1, 6)  # q6 b = q1, inside the set
-    upper = StateSet([6, 7, 8, 9], 9)
-    assert not is_covered(dfa, upper, 9)  # q9 b = q5, outside
-    full = StateSet.full(9)
-    for q in range(6, 10):
-        assert is_covered(dfa, full, q)
-    with pytest.raises(ValueError):
-        is_covered(dfa, upper, 3)  # not an upper state
-    with pytest.raises(ValueError):
-        is_covered(dfa, StateSet([6, 7], 9), 8)  # not in the set
 
 
 # ---------------------------------------------------------------------

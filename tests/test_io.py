@@ -1,6 +1,6 @@
 import pytest
 
-from synchromata import a_odd, b_series, cerny, m_series, make_dfa
+from synchromata import Dfa, a_odd, b_series, cerny, m_series
 from synchromata.io import (
     from_json,
     from_text,
@@ -42,7 +42,7 @@ def test_json_document_shape():
 
 
 def test_custom_alphabet_survives_round_trip():
-    dfa = make_dfa(2, 2, [[2, 1], [1, 1]], letters="xy")
+    dfa = Dfa(2, 2, [[2, 1], [1, 1]], letters="xy")
     again = from_json(to_json(dfa))
     assert again.letters == "xy"
     assert again == dfa

@@ -28,6 +28,7 @@ def test_formulas():
 def test_individual_checks_pass():
     assert all(r.ok for r in check_a_odd_sync(4))
     assert all(r.ok for r in check_upper_extension(5))
+    assert all(r.ok for r in check_upper_extension(12))
     assert all(r.ok for r in check_quadratic_growth(6))
     assert all(r.ok for r in check_conservative(5))
     assert all(r.ok for r in check_conservative_growth(6))
@@ -49,13 +50,15 @@ def test_bracket_claims_report_bound_status():
     assert lo <= bracket.computed <= hi
     exact = by_id["a-odd-greedy-upper"]
     assert exact.status == "pass" and exact.computed == exact.expected
+    shortest = by_id["a-odd-upper-extension"]
+    assert shortest.status == "pass" and shortest.computed == greedy_length_formula(5)
 
 
 def test_parameter_validation():
     with pytest.raises(ValueError):
         check_a_odd_sync(2)
     with pytest.raises(ValueError):
-        check_upper_extension(9)
+        check_upper_extension(13)
     with pytest.raises(ValueError):
         check_conservative(8)
     with pytest.raises(ValueError):

@@ -19,7 +19,6 @@ from synchromata import (
     m_prime_series,
     m_series,
     m_series_sync_word,
-    make_dfa,
     reset_length,
     shortest_reset_word,
 )
@@ -42,7 +41,7 @@ def test_a_odd_reset_below_explicit_word():
 
 
 def test_non_synchronizing_returns_none():
-    spinner = make_dfa(2, 1, [[2, 1]])
+    spinner = Dfa(2, 1, [[2, 1]])
     assert shortest_reset_word(spinner) is None
     assert reset_length(spinner) is None
     trace = inverse_layers(spinner)
@@ -50,7 +49,7 @@ def test_non_synchronizing_returns_none():
 
 
 def test_single_state_resets_with_empty_word():
-    dfa = make_dfa(1, 1, [[1]])
+    dfa = Dfa(1, 1, [[1]])
     assert shortest_reset_word(dfa) == Word()
     assert reset_length(dfa) == 0
     trace = inverse_layers(dfa)
@@ -121,7 +120,7 @@ def test_layer_families_are_antichains():
                 for t in earlier:
                     assert not s <= t
                 for t in layer:
-                    assert not s < t
+                    assert not (s <= t and s != t)
             earlier.extend(layer)
 
 
@@ -167,6 +166,8 @@ def test_methods_agree_on_random_automata():
 def test_concurrent_analyses_share_one_automaton():
     # analyses are pure functions of an immutable automaton, so parallel
     # calls must give the same answers as sequential ones
+    import sys
+    import threading
     from concurrent.futures import ThreadPoolExecutor
 
     dfa = m_series(7)
@@ -174,6 +175,24 @@ def test_concurrent_analyses_share_one_automaton():
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(lambda _: reset_length(dfa), range(16)))
     assert results == [expected] * 16
+    # several threads make the first search on a fresh automaton at once,
+    # so they race to build its step tables
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):
+            fresh = m_series(7)
+            start = threading.Barrier(4)
+
+            def first_search(_):
+                start.wait(timeout=10)
+                return reset_length(fresh)
+
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(first_search, range(4)))
+            assert results == [expected] * 4
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------
