@@ -8,9 +8,16 @@ over its letters from the last one back to the first.
 Every single-source search over the subset lattice (shortest reset,
 compressing, extending and avoiding words, and the reachable images)
 runs on one kernel, :func:`_shortest_word`: a level-by-level
-breadth-first search from one mask by image or preimage steps, each step
-two lookups in split tables that are built once per automaton, with a
+breadth-first search from one mask by image or preimage steps, with a
 goal test on each completed level.
+
+A step by one letter is the union, over the states of a mask, of each
+state's successor (image step) or preimage (preimage step), and
+:func:`_union_table` is the only builder of tables of such unions.  Per
+automaton and letter, a pair of them, one per half of the mask, is built
+once; the searches, the single steps :func:`image_mask` and
+:func:`preimage_mask`, and the closures behind
+:func:`is_strongly_connected` all look steps up in those pairs.
 """
 
 from __future__ import annotations
@@ -47,6 +54,9 @@ class Word:
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
+
+    def __reduce__(self):
+        return Word, (self.letters,)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -109,6 +119,9 @@ class StateSet:
     def __setattr__(self, name, value):
         raise AttributeError("StateSet is immutable")
 
+    def __reduce__(self):
+        return StateSet, (self.states(), self.n)
+
     def __len__(self) -> int:
         return self.mask.bit_count()
 
@@ -163,7 +176,8 @@ class Dfa:
     preimages are the hot path of every analysis; the split tables of the
     search kernel are built on first use and kept with the automaton.
     Instances are immutable (the tables are a cache, outside equality and
-    hashing) and safe to share between threads.
+    hashing, and copies and pickles leave them behind) and safe to share
+    between threads.
     """
 
     __slots__ = ("n", "k", "delta", "inverse", "full_mask", "letters", "_steps")
@@ -218,6 +232,9 @@ class Dfa:
     def __setattr__(self, name, value):
         raise AttributeError("Dfa is immutable")
 
+    def __reduce__(self):
+        return Dfa, (self.n, self.k, self.rows(), self.letters)
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Dfa)
@@ -264,13 +281,9 @@ class Dfa:
 # ---------------------------------------------------------------------------
 
 def image_mask(dfa: Dfa, mask: int, a: int) -> int:
-    row = dfa.delta[a]
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << row[low.bit_length() - 1]
-        mask ^= low
-    return out
+    h, tables = _step_tables(dfa, True)
+    lo, hi = tables[a]
+    return lo[mask & ((1 << h) - 1)] | hi[mask >> h]
 
 
 def image_word_mask(dfa: Dfa, mask: int, letters: Sequence[int]) -> int:
@@ -280,13 +293,9 @@ def image_word_mask(dfa: Dfa, mask: int, letters: Sequence[int]) -> int:
 
 
 def preimage_mask(dfa: Dfa, mask: int, a: int) -> int:
-    inv = dfa.inverse[a]
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= inv[low.bit_length() - 1]
-        mask ^= low
-    return out
+    h, tables = _step_tables(dfa, False)
+    lo, hi = tables[a]
+    return lo[mask & ((1 << h) - 1)] | hi[mask >> h]
 
 
 def preimage_word_mask(dfa: Dfa, mask: int, letters: Sequence[int]) -> int:
@@ -296,28 +305,30 @@ def preimage_word_mask(dfa: Dfa, mask: int, letters: Sequence[int]) -> int:
     return mask
 
 
+def _union_table(contrib: Sequence[int]) -> list[int]:
+    """table[m] = the union of contrib[q] over the bits q of m.
+
+    Filled by doubling: the second half of the table for states 0..q is
+    the first half with contrib[q] added, in O(2^len(contrib)).
+    """
+    table = [0]
+    for bits in contrib:
+        table += [x | bits for x in table]
+    return table
+
+
 def _split_tables(
     n: int, contrib: Sequence[Sequence[int]]
 ) -> tuple[int, list[tuple[list[int], list[int]]]]:
-    """Per-letter tables for the union of contrib[a][q] over the bits q of a mask.
+    """Per-letter union tables of contrib[a] split into two halves of the mask.
 
     Returns h = ceil(n/2) and one pair (lo, hi) per letter: lo covers the
     low h bits and hi the rest, so the union for letter a and mask m is
     lo[m & (2^h - 1)] | hi[m >> h], two lookups instead of a loop over
-    the set bits.  Each table is filled by low-bit doubling in O(2^h).
+    the set bits, from tables of 2^h entries instead of 2^n.
     """
     h = (n + 1) // 2
-    tables = []
-    for row in contrib:
-        pair = []
-        for part in (row[:h], row[h:n]):
-            table = [0] * (1 << len(part))
-            for m in range(1, len(table)):
-                low = m & -m
-                table[m] = table[m ^ low] | part[low.bit_length() - 1]
-            pair.append(table)
-        tables.append((pair[0], pair[1]))
-    return h, tables
+    return h, [(_union_table(row[:h]), _union_table(row[h:n])) for row in contrib]
 
 
 def _step_tables(dfa: Dfa, forward: bool) -> tuple[int, list[tuple[list[int], list[int]]]]:
@@ -455,35 +466,30 @@ def is_compressible(dfa: Dfa, s: StateSet) -> bool:
     return shortest_compressing_word(dfa, s) is not None
 
 
+def _closure(dfa: Dfa, forward: bool, mask: int) -> int:
+    """The states that some word sends mask to (forward), or into mask.
+
+    The image (or preimage) step of every letter is added to the set
+    until it stops growing: at most n rounds of k lookups each.
+    """
+    h, tables = _step_tables(dfa, forward)
+    low_bits = (1 << h) - 1
+    while True:
+        grown = mask
+        for lo, hi in tables:
+            grown |= lo[mask & low_bits] | hi[mask >> h]
+        if grown == mask:
+            return mask
+        mask = grown
+
+
 def is_strongly_connected(dfa: Dfa) -> bool:
-    """True iff every state reaches every other along letter transitions."""
-    n = dfa.n
-    if n == 1:
-        return True
-    seen = 1
-    stack = [0]
-    while stack:
-        p = stack.pop()
-        for a in range(dfa.k):
-            q = dfa.delta[a][p]
-            if not seen >> q & 1:
-                seen |= 1 << q
-                stack.append(q)
-    if seen != dfa.full_mask:
-        return False
-    # same walk along reversed edges
-    seen = 1
-    stack = [0]
-    while stack:
-        p = stack.pop()
-        for a in range(dfa.k):
-            new = dfa.inverse[a][p] & ~seen
-            seen |= new
-            while new:
-                low = new & -new
-                new ^= low
-                stack.append(low.bit_length() - 1)
-    return seen == dfa.full_mask
+    """True iff every state reaches every other along letter transitions.
+
+    That is, q1 reaches every state and every state reaches q1.
+    """
+    full = dfa.full_mask
+    return _closure(dfa, True, 1) == full and _closure(dfa, False, 1) == full
 
 
 def is_synchronizing(dfa: Dfa) -> bool:

@@ -40,6 +40,7 @@ from .automaton import (
     Word,
     _check_set,
     _shortest_word,
+    _union_table,
     is_synchronizing,
     remove_letter,
 )
@@ -106,10 +107,7 @@ def _worst_distances(dfa: Dfa, queries: bytes) -> list[tuple[Optional[int], int]
     size = 1 << n
     preds: list[list[int]] = [[] for _ in range(size)]  # all T with T·a⁻¹ = S
     for inv in dfa.inverse:
-        row = [0]  # row[T] = T·a⁻¹, built by doubling over the states
-        for bits in inv:
-            row += [t | bits for t in row]
-        for t, s in enumerate(row):
+        for t, s in enumerate(_union_table(inv)):  # s = T·a⁻¹ for T = t
             preds[s].append(t)
     # A family of sets is one big integer with a byte per mask; lows[q] is 1
     # at each mask without state q, so (x & lows[q]) << (8 << q) copies x

@@ -1,11 +1,17 @@
 """Parametric generators for the extremal automata families.
 
-All families follow the same geometry: the states split into a lower
-group q_1..q_m and an upper group, letter a rotates each group along a
-cycle, and letter b folds the upper group down onto the lower one.  The
-ternary series m_series / m_prime_series instead combine one merging
-letter with near-identity letters.  Indices in this module follow the
-1-based naming convention of :mod:`synchromata.automaton`.
+Every letter is written in one vocabulary: :func:`_letter` fixes every
+state except the listed moves, :func:`_cycle` rotates a block of states
+q_first -> ... -> q_last -> q_first, and :func:`_drop` sends each upper
+state q_{m+i} down to q_i.  Later moves override earlier ones, so a
+letter is read as its cycles and drops followed by its exceptions.
+
+All two-letter families follow one geometry: the states split into a
+lower group q_1..q_m and an upper group, letter a rotates each group
+along a cycle, and letter b folds the upper group down onto the lower
+one.  The ternary series m_series / m_prime_series instead combine one
+merging letter with near-identity letters.  Indices in this module
+follow the 1-based naming convention of :mod:`synchromata.automaton`.
 """
 
 from __future__ import annotations
@@ -21,8 +27,19 @@ class ConstructionSearchError(RuntimeError):
     """A bounded search that must succeed by construction found nothing."""
 
 
-def _rows(n: int, *maps: dict[int, int]) -> list[list[int]]:
-    return [[m[i] for i in range(1, n + 1)] for m in maps]
+def _letter(n: int, moves: dict[int, int]) -> list[int]:
+    """The transition row of a letter that fixes every state not in moves."""
+    return [moves.get(q, q) for q in range(1, n + 1)]
+
+
+def _cycle(first: int, last: int) -> dict[int, int]:
+    """The moves q_first -> q_first+1 -> ... -> q_last -> q_first."""
+    return {q: q + 1 for q in range(first, last)} | {last: first}
+
+
+def _drop(m: int) -> dict[int, int]:
+    """The moves q_{m+i} -> q_i for i = 1..m-1."""
+    return {m + i: i for i in range(1, m)}
 
 
 def a_odd(m: int) -> Dfa:
@@ -37,24 +54,9 @@ def a_odd(m: int) -> Dfa:
     if m < 3:
         raise ValueError(f"a_odd needs m >= 3, got {m}")
     n = 2 * m - 1
-    a = {}
-    b = {}
-    for i in range(1, n + 1):
-        if i == m:
-            a[i] = 1
-        elif i == 2 * m - 1:
-            a[i] = m + 1
-        else:
-            a[i] = i + 1
-        if i <= m - 1:
-            b[i] = i
-        elif i == m:
-            b[i] = 2 * m - 1
-        elif i == 2 * m - 1:
-            b[i] = m
-        else:
-            b[i] = i - m
-    return Dfa(n, 2, _rows(n, a, b))
+    a = _cycle(1, m) | _cycle(m + 1, n)
+    b = _drop(m) | {m: n, n: m}
+    return Dfa(n, 2, [_letter(n, a), _letter(n, b)])
 
 
 def a_even(m: int) -> Dfa:
@@ -67,26 +69,9 @@ def a_even(m: int) -> Dfa:
     if m < 3:
         raise ValueError(f"a_even needs m >= 3, got {m}")
     n = 2 * m
-    a = {}
-    b = {}
-    for i in range(1, n + 1):
-        if i == m:
-            a[i] = 1
-        elif i == 2 * m:
-            a[i] = m + 1
-        else:
-            a[i] = i + 1
-        if i <= m - 1:
-            b[i] = i
-        elif i == m:
-            b[i] = 2 * m
-        elif i == 2 * m:
-            b[i] = m
-        elif i == 2 * m - 1:
-            b[i] = m
-        else:
-            b[i] = i - m
-    return Dfa(n, 2, _rows(n, a, b))
+    a = _cycle(1, m) | _cycle(m + 1, n)
+    b = _drop(m) | {m: n, n - 1: m, n: m}
+    return Dfa(n, 2, [_letter(n, a), _letter(n, b)])
 
 
 def conservative(m: int) -> Dfa:
@@ -100,26 +85,9 @@ def conservative(m: int) -> Dfa:
     if m < 3:
         raise ValueError(f"conservative needs m >= 3, got {m}")
     n = 2 * m
-    a = {}
-    b = {}
-    for i in range(1, n + 1):
-        if i == m:
-            a[i] = 1
-        elif i in (2 * m - 1, 2 * m):
-            a[i] = m + 1
-        else:
-            a[i] = i + 1
-        if i <= m - 1:
-            b[i] = i
-        elif i == m:
-            b[i] = 2 * m
-        elif i == 2 * m:
-            b[i] = m
-        elif i == 2 * m - 1:
-            b[i] = m - 1
-        else:
-            b[i] = i - m
-    return Dfa(n, 2, _rows(n, a, b))
+    a = _cycle(1, m) | _cycle(m + 1, n - 1) | {n: m + 1}
+    b = _drop(m) | {m: n, n: m}
+    return Dfa(n, 2, [_letter(n, a), _letter(n, b)])
 
 
 def b_series(m: int) -> Dfa:
@@ -133,30 +101,9 @@ def b_series(m: int) -> Dfa:
     if m < 4:
         raise ValueError(f"b_series needs m >= 4, got {m}")
     n = 2 * m
-    a = {}
-    b = {}
-    for i in range(1, n + 1):
-        if i == m:
-            a[i] = 1
-        elif i == 2 * m - 1:
-            a[i] = m + 1
-        elif i == 2 * m:
-            a[i] = 2 * m
-        else:
-            a[i] = i + 1
-        if i <= m - 2 or m + 1 <= i <= 2 * m - 3:
-            b[i] = i
-        elif i == m - 1:
-            b[i] = 2 * m - 2
-        elif i == 2 * m - 2:
-            b[i] = m - 1
-        elif i == m:
-            b[i] = 2 * m
-        elif i == 2 * m - 1:
-            b[i] = 2 * m
-        else:  # i == 2m
-            b[i] = 2 * m - 1
-    return Dfa(n, 2, _rows(n, a, b))
+    a = _cycle(1, m) | _cycle(m + 1, n - 1)
+    b = {m - 1: n - 2, n - 2: m - 1, m: n, n - 1: n, n: n - 1}
+    return Dfa(n, 2, [_letter(n, a), _letter(n, b)])
 
 
 def m_series(n: int) -> Dfa:
@@ -168,11 +115,8 @@ def m_series(n: int) -> Dfa:
     """
     if n < 3:
         raise ValueError(f"m_series needs n >= 3, got {n}")
-    a = {i: i + 1 if i < n else 2 for i in range(1, n + 1)}
-    b = {i: 2 if i == 1 else i for i in range(1, n + 1)}
-    c = {i: i for i in range(1, n + 1)}
-    c[1], c[n] = n, 1
-    return Dfa(n, 3, _rows(n, a, b, c))
+    a = _cycle(1, n) | {n: 2}
+    return Dfa(n, 3, [_letter(n, a), _letter(n, {1: 2}), _letter(n, {1: n, n: 1})])
 
 
 def m_prime_series(n: int) -> Dfa:
@@ -182,10 +126,8 @@ def m_prime_series(n: int) -> Dfa:
     """
     if n < 3:
         raise ValueError(f"m_prime_series needs n >= 3, got {n}")
-    a = {i: i + 1 if i < n else 2 for i in range(1, n + 1)}
-    b = {i: 2 if i == 1 else i for i in range(1, n + 1)}
-    c = {i: 1 if i == n else i for i in range(1, n + 1)}
-    return Dfa(n, 3, _rows(n, a, b, c))
+    a = _cycle(1, n) | {n: 2}
+    return Dfa(n, 3, [_letter(n, a), _letter(n, {1: 2}), _letter(n, {n: 1})])
 
 
 def cerny(n: int) -> Dfa:
@@ -197,9 +139,7 @@ def cerny(n: int) -> Dfa:
     """
     if n < 2:
         raise ValueError(f"cerny needs n >= 2, got {n}")
-    a = {i: i % n + 1 for i in range(1, n + 1)}
-    b = {i: 2 if i == 1 else i for i in range(1, n + 1)}
-    return Dfa(n, 2, _rows(n, a, b))
+    return Dfa(n, 2, [_letter(n, _cycle(1, n)), _letter(n, {1: 2})])
 
 
 #: family name -> (builder, minimum parameter, parameter meaning)

@@ -139,6 +139,23 @@ def o_profile_witness(dfa: Dfa):
     return frozenset(q for q in range(1, n + 1) if mask >> (q - 1) & 1)
 
 
+def o_strongly_connected(rows):
+    """True iff every state reaches every other: one plain-set search per state."""
+    n = len(rows[0])
+    for start in range(1, n + 1):
+        seen = {start}
+        stack = [start]
+        while stack:
+            p = stack.pop()
+            for row in rows:
+                if row[p - 1] not in seen:
+                    seen.add(row[p - 1])
+                    stack.append(row[p - 1])
+        if len(seen) < n:
+            return False
+    return True
+
+
 def o_reachable_images(rows):
     """Every image of the full state set, by breadth-first search over frozensets."""
     full = frozenset(range(1, len(rows[0]) + 1))

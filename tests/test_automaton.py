@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -10,6 +12,7 @@ from synchromata import (
     Word,
     a_odd,
     cerny,
+    check_sync_word,
     image,
     is_compressible,
     is_strongly_connected,
@@ -29,11 +32,21 @@ from synchromata.automaton import MAX_STATES, _step_tables
 
 from helpers import (
     o_image,
+    o_preimage,
     o_preimage_word,
     o_reachable_images,
     o_shortest_word,
+    o_strongly_connected,
     random_dfa,
 )
+
+
+@st.composite
+def transition_rows(draw, max_n):
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(1, 3))
+    row = st.lists(st.integers(1, n), min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=k, max_size=k))
 
 
 # ---------------------------------------------------------------------
@@ -177,17 +190,32 @@ def test_preimage_word_seed_block():
     assert got & StateSet(range(1, 6), 9) == StateSet([1, 5], 9)
 
 
-def test_preimage_word_against_set_oracle():
-    rng = random.Random(11)
-    for _ in range(25):
-        dfa = random_dfa(rng, rng.randint(2, 7), rng.randint(1, 3))
-        rows = dfa.rows()
-        states = [q for q in range(1, dfa.n + 1) if rng.random() < 0.5]
-        word = [rng.randrange(dfa.k) for _ in range(rng.randint(0, 6))]
-        got = preimage_word(dfa, StateSet(states, dfa.n), word)
-        assert frozenset(got) == o_preimage_word(rows, states, word)
-        got_img = image(dfa, StateSet(states, dfa.n), word)
-        assert frozenset(got_img) == o_image(rows, states, word)
+@st.composite
+def rows_mask_word(draw):
+    rows = draw(transition_rows(MAX_STATES))
+    mask = draw(st.integers(0, (1 << len(rows[0])) - 1))
+    word = draw(st.lists(st.integers(0, len(rows) - 1), max_size=6))
+    return rows, mask, word
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows_mask_word())
+# the high half of the split tables at the widest odd and even sizes
+@example(([[q % 23 + 1 for q in range(1, 24)]], 0x7FF800, [0, 0]))
+@example(([[24] * 24, [q % 24 + 1 for q in range(1, 25)]], 0xFFF001, [1, 0, 1]))
+def test_preimage_word_against_set_oracle(case):
+    rows, mask, word = case
+    n, k = len(rows[0]), len(rows)
+    dfa = Dfa(n, k, rows)
+    states = frozenset(q for q in range(1, n + 1) if mask >> (q - 1) & 1)
+    s = StateSet(states, n)
+    assert frozenset(image(dfa, s, word)) == o_image(rows, states, word)
+    assert frozenset(preimage_word(dfa, s, word)) == o_preimage_word(rows, states, word)
+    for a in range(k):
+        assert frozenset(preimage(dfa, s, a)) == o_preimage(rows, states, a)
+    reached = o_image(rows, range(1, n + 1), word)
+    assert rank(dfa, word) == len(reached)
+    assert check_sync_word(dfa, word) == (min(reached) if len(reached) == 1 else None)
 
 
 def test_adjointness_randomized():
@@ -269,11 +297,8 @@ def test_compressible_precondition():
 
 @st.composite
 def rows_and_subset(draw):
-    n = draw(st.integers(1, 8))
-    k = draw(st.integers(1, 3))
-    row = st.lists(st.integers(1, n), min_size=n, max_size=n)
-    rows = draw(st.lists(row, min_size=k, max_size=k))
-    return rows, draw(st.integers(1, (1 << n) - 1))
+    rows = draw(transition_rows(8))
+    return rows, draw(st.integers(1, (1 << len(rows[0])) - 1))
 
 
 def _letters(word):
@@ -319,6 +344,27 @@ def test_step_tables_are_a_cache_outside_equality():
         cached._steps = [None, None]
 
 
+@pytest.mark.parametrize("value", [
+    cerny(4), a_odd(5), Dfa(2, 1, [[2, 1]], "x"),
+    StateSet([1, 3], 4), StateSet([], 1), StateSet.full(24),
+    Word([0, 1, 1]), Word(),
+])
+def test_copies_and_pickles_are_equal(value):
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value)
+        assert twin == value and hash(twin) == hash(value)
+
+
+def test_pickle_leaves_the_step_tables_behind():
+    rows = a_odd(5).rows()
+    cached = Dfa(9, 2, rows)
+    word = shortest_reset_word(cached)
+    shortest_extending_word(cached, StateSet([1], 9))
+    assert pickle.dumps(cached) == pickle.dumps(Dfa(9, 2, rows))
+    twin = pickle.loads(pickle.dumps(cached))
+    assert shortest_reset_word(twin) == word
+
+
 # ---------------------------------------------------------------------
 # structural predicates
 # ---------------------------------------------------------------------
@@ -333,6 +379,16 @@ def test_strongly_connected_families():
 def test_not_strongly_connected():
     dfa = Dfa(2, 1, [[1, 2]])  # two separate self-loops
     assert not is_strongly_connected(dfa)
+
+
+@settings(max_examples=300, deadline=None)
+@given(transition_rows(10))
+@example([[2, 3, 2]])             # q1 reaches every state, none reaches q1
+@example([[1, 1, 2]])             # every state reaches q1, q1 reaches no other
+@example([[2, 3, 1], [1, 1, 1]])  # a 3-cycle and a reset letter: connected
+def test_strongly_connected_matches_reachability_oracle(rows):
+    dfa = Dfa(len(rows[0]), len(rows), rows)
+    assert is_strongly_connected(dfa) == o_strongly_connected(rows)
 
 
 def test_synchronizing_predicate():

@@ -1,6 +1,11 @@
+import hashlib
+import json
+from itertools import count
+
 import pytest
 
 from synchromata import (
+    FAMILIES,
     FamilySpec,
     StateSet,
     a_even,
@@ -71,6 +76,20 @@ def test_parameter_validation():
         m_series(2)
     with pytest.raises(ValueError):
         cerny(1)
+
+
+def test_family_tables_are_frozen():
+    tables = {}
+    for name, (builder, low, _) in FAMILIES.items():
+        for param in count(low):
+            try:
+                dfa = builder(param)
+            except ValueError:  # more states than the mask width
+                break
+            tables[f"{name}/{param}"] = dfa.rows()
+    digest = hashlib.sha256(json.dumps(tables, sort_keys=True).encode()).hexdigest()
+    assert len(tables) == 106
+    assert digest == "d1e687921d80759de2c1eee1ed1c12c679488a37d9a82a181803b9b192214bc7"
 
 
 def test_family_spec_and_registry():
