@@ -19,7 +19,9 @@ profile queries every subset, so f0[T] = |T|; the image-extension bound
 queries the reachable images, so f0[T] is the size of the largest
 reachable image inside T.  The kernel is pure Python: importing numpy
 alone raises resident memory from about 16 to 28 MB, more than the
-reports themselves need at up to 12 states.
+reports themselves need at up to 12 states.  Both reports refuse more
+than :data:`PROFILE_BOUND` states before any search or table build; the
+kernel's time and memory roughly double with each state beyond that.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ from .automaton import (
 )
 
 #: Largest n for which whole-lattice reports (profile, image-extension
-#: bound) are attempted; single-subset queries work up to the mask width.
+#: bound) are attempted; both refuse larger automata before any search or
+#: table build.  Single-subset queries work up to the mask width.
 PROFILE_BOUND = 20
 
 # _ABOVE[c] translates a byte v to 1 if v > c and to 0 otherwise
@@ -150,21 +153,21 @@ def _worst_distances(dfa: Dfa, queries: bytes) -> list[tuple[Optional[int], int]
     return out
 
 
-def extension_profile(dfa: Dfa, bound: int = PROFILE_BOUND) -> ExtensionReport:
+def extension_profile(dfa: Dfa) -> ExtensionReport:
     """Exact extension profile of the whole automaton.
 
     Every subset is a query of the lattice kernel, so one backward search
     per cardinality answers all subsets of that size at once.  The
     witness is the first worst subset in (cardinality, mask) order, or
     the first subset that never extends.  Refuses automata above
-    ``bound`` states; query single subsets with
+    :data:`PROFILE_BOUND` states; query single subsets with
     :func:`shortest_extending_word` instead for those.
     """
     n = dfa.n
-    if n > bound:
+    if n > PROFILE_BOUND:
         raise ValueError(
-            f"profile over 2^{n} subsets exceeds the bound ({bound} states); "
-            "query individual subsets with shortest_extending_word"
+            f"profile over 2^{n} subsets exceeds the bound ({PROFILE_BOUND} "
+            "states); query individual subsets with shortest_extending_word"
         )
     if n < 2:
         raise ValueError("a single-state automaton has no proper subsets to extend")
@@ -220,20 +223,20 @@ class ImageExtensionReport:
     constant_witness: Fraction
 
 
-def image_extension_bound(dfa: Dfa, bound: int = PROFILE_BOUND) -> ImageExtensionReport:
+def image_extension_bound(dfa: Dfa) -> ImageExtensionReport:
     """Worst image-aware extension length over all reachable proper images.
 
     The reachable images are the queries of the lattice kernel; the
     worst set is the first worst image in (cardinality, mask) order.
     Requires a synchronizing automaton: reversing a reset word shows
     every image grows, so a miss means an implementation bug rather than
-    bad input.
+    bad input.  Refuses automata above :data:`PROFILE_BOUND` states.
     """
     n = dfa.n
-    if n > bound:
+    if n > PROFILE_BOUND:
         raise ValueError(
             f"image-extension search over 2^{n} subsets exceeds the bound "
-            f"({bound} states)"
+            f"({PROFILE_BOUND} states)"
         )
     if n < 2:
         raise ValueError("a single-state automaton has no proper images to extend")

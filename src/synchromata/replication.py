@@ -15,6 +15,7 @@ from typing import Optional, Union
 
 from .automaton import Word, is_strongly_connected, is_synchronizing
 from .extension import (
+    extension_profile,
     image_extension_bound,
     is_irreducibly_synchronizing,
     shortest_avoiding_word,
@@ -136,6 +137,23 @@ def check_upper_extension(m: int) -> list[ClaimResult]:
         _exact("a-odd-upper-extension", m, hi, len(word), witness=word),
         _exact("a-odd-greedy-upper", m, hi, len(greedy), witness=greedy,
                gate=valid),
+    ]
+
+
+def check_profile_maximum(m: int) -> list[ClaimResult]:
+    """The upper block is a worst subset of the whole a_odd(m) lattice.
+
+    The extension profile's maximum equals the greedy length, and the
+    profile's witness (its first worst subset) is the upper block.
+    """
+    if not 4 <= m <= 8:
+        raise ValueError(f"supported range is 4 <= m <= 8, got {m}")
+    report = extension_profile(a_odd(m))
+    upper = named_subset(FamilySpec("a-odd", m), "upper")
+    computed = -1 if report.max_length is None else report.max_length
+    return [
+        _exact("a-odd-profile-max", m, greedy_length_formula(m), computed,
+               witness=report.witness_word, gate=report.witness_set == upper)
     ]
 
 
@@ -298,8 +316,9 @@ def run_all(max_m: int = 8, max_n: int = 10) -> list[ClaimResult]:
     """Run the whole claim suite at the given desk bounds.
 
     max_m caps the two-letter family parameter (n up to 2*max_m states),
-    max_n caps the ternary series.  The default suite finishes in well
-    under a minute.
+    max_n caps the ternary series.  Each check runs up to the smaller of
+    its cap and the top of its supported range.  The default suite
+    finishes in well under a minute.
     """
     if max_m < 5 or max_n < 4:
         raise ValueError("need max_m >= 5 and max_n >= 4 for a meaningful suite")
@@ -308,6 +327,8 @@ def run_all(max_m: int = 8, max_n: int = 10) -> list[ClaimResult]:
         results += check_a_odd_sync(m)
     for m in range(4, min(max_m, 12) + 1):
         results += check_upper_extension(m)
+    for m in range(4, min(max_m, 8) + 1):
+        results += check_profile_maximum(m)
     results += check_quadratic_growth(min(max_m, 7))
     for m in range(4, min(max_m, 7) + 1):
         results += check_conservative(m)
@@ -317,7 +338,7 @@ def run_all(max_m: int = 8, max_n: int = 10) -> list[ClaimResult]:
         results += check_b_series_avoiding(m)
     for m in range(4, min(max_m, 7) + 1):
         results += check_image_extension_constant(m)
-    for n in range(3, max_n + 1):
+    for n in range(3, min(max_n, 12) + 1):
         results += check_ternary_series(n)
     for n in (6, 7):
         if n <= max_n:

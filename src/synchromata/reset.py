@@ -6,6 +6,10 @@ subsets reachable from mergeable singletons by repeated one-letter
 preimages; the first layer containing the full set gives the reset
 length.  Both run in O(2^n k) at worst and must always agree;
 :func:`checked_reset_word` runs each of them once and compares them.
+Neither takes a cap: the forward search meets at most 2^n images, and
+each set the layer search keeps after L_0 is a non-singleton that no
+earlier kept set covers, so no set is kept twice and the layers reach
+the full set or die out within 2^n layers.
 
 The forward method is the shared search kernel of the automaton module
 with a singleton as its goal.  Both methods step with the automaton's
@@ -54,26 +58,11 @@ class LayerTrace:
 
     ``layers[i]`` holds the maximal non-singleton subsets first reached
     after i preimage steps; ``found_at`` is the first index whose layer
-    contains the full state set, or None.  ``truncated`` is set when the
-    iteration limit was hit while layers were still growing.
+    contains the full state set, or None when the layers died out.
     """
 
     layers: tuple[tuple[StateSet, ...], ...]
     found_at: Optional[int]
-    truncated: bool
-
-
-def default_layer_limit(n: int) -> int:
-    # safe upper bound: comfortably above the general (n^3 - n)/6 - 1 cap
-    return n ** 3 // 6 + n
-
-
-def _resolve_limit(n: int, limit: Optional[int]) -> int:
-    if limit is None:
-        return default_layer_limit(n)
-    if limit < 0:
-        raise ValueError(f"limit must be >= 0, got {limit}")
-    return limit
 
 
 def _covering(member: list[int], mask: int) -> int:
@@ -93,8 +82,8 @@ def _add_members(member: list[int], masks: list[int], base: int) -> None:
         member[q] |= sum(1 << i for i, s in enumerate(masks) if s & bit) << base
 
 
-def inverse_layers(dfa: Dfa, limit: Optional[int] = None) -> LayerTrace:
-    """Grow the layer families L_0..L_limit and report where Q first appears.
+def inverse_layers(dfa: Dfa) -> LayerTrace:
+    """Grow the layer families L_0, L_1, ... and report where Q first appears.
 
     L_0 holds the singletons that some letter maps at least two states
     onto, or the full set itself when there is only one state.  Each next
@@ -104,7 +93,6 @@ def inverse_layers(dfa: Dfa, limit: Optional[int] = None) -> LayerTrace:
     same round.  Stops early once the full set appears or a layer
     comes out empty.
     """
-    limit = _resolve_limit(dfa.n, limit)
     n = dfa.n
     full = dfa.full_mask
     h, tables = _step_tables(dfa, False)
@@ -121,13 +109,9 @@ def inverse_layers(dfa: Dfa, limit: Optional[int] = None) -> LayerTrace:
     _add_members(member, level0, 0)
     kept_count = len(level0)
     found_at = 0 if full in level0 else None
-    truncated = False
 
     i = 0
     while found_at is None and layer_masks[-1]:
-        if i == limit:
-            truncated = True
-            break
         i += 1
         candidates = {
             lo[s & low_bits] | hi[s >> h]
@@ -155,25 +139,18 @@ def inverse_layers(dfa: Dfa, limit: Optional[int] = None) -> LayerTrace:
     layers = tuple(
         tuple(StateSet.from_mask(s, n) for s in level) for level in layer_masks
     )
-    return LayerTrace(layers=layers, found_at=found_at, truncated=truncated)
+    return LayerTrace(layers=layers, found_at=found_at)
 
 
-def checked_reset_word(dfa: Dfa, limit: Optional[int] = None) -> Optional[Word]:
+def checked_reset_word(dfa: Dfa) -> Optional[Word]:
     """A shortest reset word whose length both methods confirm, or None.
 
     Runs the forward search once and the layer search once.  Raises
-    ValueError if ``limit`` is negative or stops the layer search before
-    it settles, and ConsistencyError if the two searches disagree, which
-    would mean a bug in one of them.
+    ConsistencyError if the two searches disagree, which would mean a bug
+    in one of them.
     """
-    limit = _resolve_limit(dfa.n, limit)
     word = shortest_reset_word(dfa)
-    trace = inverse_layers(dfa, limit)
-    if trace.truncated:
-        raise ValueError(
-            f"layer search reached the limit of {limit} layers before "
-            f"settling the reset length"
-        )
+    trace = inverse_layers(dfa)
     forward = None if word is None else len(word)
     if forward != trace.found_at:
         raise ConsistencyError(
@@ -182,12 +159,12 @@ def checked_reset_word(dfa: Dfa, limit: Optional[int] = None) -> Optional[Word]:
     return word
 
 
-def reset_length(dfa: Dfa, limit: Optional[int] = None) -> Optional[int]:
+def reset_length(dfa: Dfa) -> Optional[int]:
     """Reset length computed by both methods, or None if not synchronizing.
 
-    See :func:`checked_reset_word` for the checks and errors.
+    See :func:`checked_reset_word` for the cross-check.
     """
-    word = checked_reset_word(dfa, limit)
+    word = checked_reset_word(dfa)
     return None if word is None else len(word)
 
 

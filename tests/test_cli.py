@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import synchromata
 import synchromata.reset as reset_mod
 from synchromata import ConsistencyError, Word, b_series, cerny, m_series
 from synchromata.cli import main
@@ -83,8 +88,6 @@ def test_profile(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "cardinality 1:" in out
     assert "profile:" in out
-    assert main(["profile", str(path), "--bound", "3"]) == 2
-    assert "bound" in capsys.readouterr().err
 
 
 def test_avoid(b8_path, capsys):
@@ -114,8 +117,6 @@ def test_layers(tmp_path, capsys):
     assert main(["layers", str(path), "--trace"]) == 0
     out = capsys.readouterr().out
     assert "L_0: {q2}" in out
-    assert main(["layers", str(path), "--limit", "3"]) == 0
-    assert "limit reached" in capsys.readouterr().out
 
 
 def test_layers_and_analyze_agree_on_one_state(tmp_path, capsys):
@@ -188,21 +189,6 @@ def test_analyze_runs_the_forward_search_once(c3_path, monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_analyze_truncated_layer_search_is_input_error(c3_path, capsys):
-    assert main(["analyze", c3_path, "--limit", "1"]) == 2
-    err = capsys.readouterr().err
-    assert "limit of 1" in err
-    assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("command", ["analyze", "layers"])
-def test_negative_limit_rejected_before_any_output(c3_path, command, capsys):
-    assert main([command, c3_path, "--limit", "-1"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "limit must be >= 0" in err
-
-
 def test_disagreeing_searches_exit_one(c3_path, monkeypatch, capsys):
     original = reset_mod.shortest_reset_word
     monkeypatch.setattr(
@@ -252,3 +238,88 @@ def test_errors_map_to_exit_codes(c3_path, monkeypatch, capsys, error, code, mes
     assert main(["analyze", c3_path]) == code
     err = capsys.readouterr().err
     assert err.strip() == message
+
+
+def _disagree(monkeypatch):
+    original = reset_mod.shortest_reset_word
+    monkeypatch.setattr(
+        reset_mod, "shortest_reset_word", lambda dfa: original(dfa) + Word([0])
+    )
+
+
+def _failing_claim(monkeypatch):
+    import synchromata.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "run_all", lambda max_m, max_n: [
+        ClaimResult("demo", 3, 7, 5, "fail", None)])
+
+
+# {c3}: cerny(3); {big}: cerny(21); {missing}: no such file;
+# {nodir}: a path in a directory that does not exist
+EXIT_CODES = [
+    (["gen", "--family", "cerny", "--size", "4"], None, 0),
+    (["gen", "--family", "cerny", "--size", "4", "-o", "{nodir}"], None, 2),
+    (["gen", "--family", "cerny", "--size", "1"], None, 2),
+    (["analyze", "{c3}"], None, 0),
+    (["analyze", "{missing}"], None, 2),
+    (["analyze", "{c3}", "--limit", "5"], None, 2),
+    (["analyze", "{c3}"], _disagree, 1),
+    (["extend", "{c3}", "--set", "1,2"], None, 0),
+    (["extend", "{c3}", "--set", "1,x"], None, 2),
+    (["extend", "{missing}", "--set", "1"], None, 2),
+    (["profile", "{c3}"], None, 0),
+    (["profile", "{big}"], None, 2),
+    (["profile", "{c3}", "--bound", "30"], None, 2),
+    (["profile", "{missing}"], None, 2),
+    (["avoid", "{c3}", "--state", "1"], None, 0),
+    (["avoid", "{c3}", "--state", "9"], None, 2),
+    (["avoid", "{missing}", "--state", "1"], None, 2),
+    (["images", "{c3}"], None, 0),
+    (["images", "{missing}"], None, 2),
+    (["conjecture", "{c3}"], None, 0),
+    (["conjecture", "{big}"], None, 2),
+    (["conjecture", "{c3}", "--bound", "30"], None, 2),
+    (["conjecture", "{missing}"], None, 2),
+    (["layers", "{c3}", "--trace"], None, 0),
+    (["layers", "{missing}"], None, 2),
+    (["layers", "{c3}", "--limit", "5"], None, 2),
+    (["verify-paper", "--max-m", "5", "--max-n", "4"], None, 0),
+    (["verify-paper", "--max-m", "5", "--max-n", "4", "--json", "{nodir}"], None, 2),
+    (["verify-paper"], _failing_claim, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, patch, code", EXIT_CODES,
+    ids=[" ".join(argv) + (f" [{patch.__name__}]" if patch else "")
+         for argv, patch, _ in EXIT_CODES],
+)
+def test_exit_code_table(tmp_path, monkeypatch, capsys, argv, patch, code):
+    big = tmp_path / "c21.json"
+    big.write_text(to_json(cerny(21)))
+    c3 = tmp_path / "c3.json"
+    c3.write_text(to_json(cerny(3)))
+    paths = {"c3": c3, "big": big, "missing": tmp_path / "nope.json",
+             "nodir": tmp_path / "nodir" / "out.json"}
+    if patch:
+        patch(monkeypatch)
+    assert main([a.format(**paths) for a in argv]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.count("error:") == 1
+
+
+def test_package_runs_as_a_module(tmp_path):
+    src = Path(synchromata.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run(
+        [sys.executable, "-m", "synchromata", "gen", "--family", "cerny", "--size", "4"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert from_json(done.stdout) == cerny(4)

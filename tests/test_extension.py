@@ -173,9 +173,19 @@ def test_profile_finite_iff_synchronizing_for_uniform_indegree():
     assert all(v is None for v in report.per_cardinality_max)
 
 
-def test_profile_bound_is_enforced():
-    with pytest.raises(ValueError, match="bound"):
-        extension_profile(a_odd(5), bound=8)
+def test_profile_bound_is_enforced(monkeypatch):
+    import synchromata.extension as ext
+
+    def boom(*args):
+        raise AssertionError("search ran")
+
+    # the refusal comes before any search or table build
+    monkeypatch.setattr(ext, "_worst_distances", boom)
+    monkeypatch.setattr(ext, "_reachable_masks", boom)
+    monkeypatch.setattr(ext, "is_synchronizing", boom)
+    for report in (extension_profile, image_extension_bound):
+        with pytest.raises(ValueError, match=r"bound \(20 states\)"):
+            report(cerny(21))
 
 
 def test_profiles_of_odd_family_stay_finite():

@@ -11,6 +11,7 @@ from synchromata.replication import (
     check_conservative,
     check_conservative_growth,
     check_image_extension_constant,
+    check_profile_maximum,
     check_quadratic_growth,
     check_ternary_layers,
     check_ternary_series,
@@ -29,6 +30,8 @@ def test_individual_checks_pass():
     assert all(r.ok for r in check_a_odd_sync(4))
     assert all(r.ok for r in check_upper_extension(5))
     assert all(r.ok for r in check_upper_extension(12))
+    assert all(r.ok for r in check_profile_maximum(4))
+    assert all(r.ok for r in check_profile_maximum(8))
     assert all(r.ok for r in check_quadratic_growth(6))
     assert all(r.ok for r in check_conservative(5))
     assert all(r.ok for r in check_conservative_growth(6))
@@ -59,6 +62,8 @@ def test_parameter_validation():
         check_a_odd_sync(2)
     with pytest.raises(ValueError):
         check_upper_extension(13)
+    with pytest.raises(ValueError):
+        check_profile_maximum(9)
     with pytest.raises(ValueError):
         check_conservative(8)
     with pytest.raises(ValueError):
@@ -97,3 +102,8 @@ def test_suite_ranges_scale_with_caps():
     assert ("m-series-layers", 7) in params
     assert ("m-series-irreducible", 3) not in params  # reducible edge case
     assert ("m-series-irreducible", 4) in params
+
+
+def test_caps_above_a_checks_range_are_clamped():
+    # the ternary checks support n <= 12; a larger cap runs the same suite
+    assert run_all(max_m=5, max_n=13) == run_all(max_m=5, max_n=12)

@@ -45,7 +45,7 @@ def test_non_synchronizing_returns_none():
     assert shortest_reset_word(spinner) is None
     assert reset_length(spinner) is None
     trace = inverse_layers(spinner)
-    assert trace.found_at is None and not trace.truncated
+    assert trace.found_at is None
 
 
 def test_single_state_resets_with_empty_word():
@@ -122,14 +122,6 @@ def test_layer_families_are_antichains():
                 for t in layer:
                     assert not (s <= t and s != t)
             earlier.extend(layer)
-
-
-def test_truncation():
-    trace = inverse_layers(m_series(6), limit=5)
-    assert trace.found_at is None and trace.truncated
-    assert len(trace.layers) == 6
-    with pytest.raises(ValueError):
-        inverse_layers(m_series(4), limit=-1)
 
 
 def test_methods_agree_on_every_family():
@@ -218,24 +210,6 @@ def test_checked_reset_word_runs_each_search_once(monkeypatch):
     assert calls == ["shortest_reset_word", "inverse_layers"]
 
 
-def test_checked_reset_word_truncation_is_value_error():
-    with pytest.raises(ValueError, match="limit of 1"):
-        checked_reset_word(cerny(3), limit=1)
-    with pytest.raises(ValueError, match="limit of 5"):
-        reset_length(m_series(6), limit=5)
-    # a limit that the layers reach exactly is enough
-    assert reset_length(cerny(3), limit=4) == 4
-
-
-def test_negative_limit_is_rejected_before_any_search(monkeypatch):
-    def boom(dfa):
-        raise AssertionError("search ran")
-
-    monkeypatch.setattr(reset_mod, "shortest_reset_word", boom)
-    with pytest.raises(ValueError, match="limit must be >= 0"):
-        checked_reset_word(cerny(3), limit=-1)
-
-
 def test_disagreement_raises_consistency_error(monkeypatch):
     original = reset_mod.shortest_reset_word
     monkeypatch.setattr(
@@ -318,7 +292,6 @@ def test_layers_match_naive_reference(rows):
     trace = inverse_layers(dfa)
     naive = naive_layers(rows)
     full = frozenset(range(1, dfa.n + 1))
-    assert not trace.truncated
     assert len(trace.layers) == len(naive)
     for got, want in zip(trace.layers, naive):
         assert len(got) == len(want)
