@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from typing import Optional
 
 from . import io
@@ -154,16 +155,17 @@ def cmd_layers(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    results = run_all(max_m=args.max_m, max_n=args.max_n)
-    for r in results:
-        expected = r.expected if isinstance(r.expected, int) else list(r.expected)
-        line = (f"{r.status.upper():8s} {r.claim_id}({r.parameter}): "
-                f"computed={r.computed} expected={expected}")
-        print(line)
-    failed = sum(not r.ok for r in results)
-    print(f"{len(results) - failed}/{len(results)} claims passed")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
+    # open the report first, so an unwritable path fails before the suite runs
+    with open(args.json, "w", encoding="utf-8") if args.json else nullcontext() as fh:
+        results = run_all(max_m=args.max_m, max_n=args.max_n)
+        for r in results:
+            expected = r.expected if isinstance(r.expected, int) else list(r.expected)
+            line = (f"{r.status.upper():8s} {r.claim_id}({r.parameter}): "
+                    f"computed={r.computed} expected={expected}")
+            print(line)
+        failed = sum(not r.ok for r in results)
+        print(f"{len(results) - failed}/{len(results)} claims passed")
+        if fh is not None:
             json.dump([r.to_dict() for r in results], fh, indent=2)
             fh.write("\n")
     if failed:

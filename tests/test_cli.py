@@ -39,11 +39,6 @@ def test_gen_to_file_and_formats(tmp_path):
     assert out2.read_text() == to_text(m_series(5))
 
 
-def test_gen_rejects_bad_parameters(capsys):
-    assert main(["gen", "--family", "b-series", "--size", "2"]) == 2
-    assert "parameter" in capsys.readouterr().err
-
-
 def test_analyze(b8_path, capsys):
     assert main(["analyze", b8_path]) == 0
     out = capsys.readouterr().out
@@ -74,11 +69,6 @@ def test_extend(b8_path, capsys):
     out = capsys.readouterr().out
     assert "shortest extending length: 11" in out
     assert "word: " in out
-
-
-def test_extend_rejects_bad_subset(b8_path, capsys):
-    assert main(["extend", b8_path, "--set", "1,x"]) == 2
-    assert main(["extend", b8_path, "--set", "1,99"]) == 2
 
 
 def test_profile(tmp_path, capsys):
@@ -143,31 +133,6 @@ def test_verify_paper(tmp_path, capsys):
         <= set(data[0])
 
 
-def test_verify_paper_reports_failures(monkeypatch, capsys):
-    import synchromata.cli as cli_mod
-
-    def fake_run_all(max_m, max_n):
-        return [ClaimResult("demo", 3, 7, 5, "fail", None)]
-
-    monkeypatch.setattr(cli_mod, "run_all", fake_run_all)
-    assert main(["verify-paper"]) == 1
-    assert "FAIL" in capsys.readouterr().out
-
-
-def test_usage_errors():
-    assert main([]) == 2
-    assert main(["frobnicate"]) == 2
-    assert main(["gen", "--family", "nosuch", "--size", "3"]) == 2
-
-
-def test_missing_and_malformed_files(tmp_path, capsys):
-    assert main(["analyze", str(tmp_path / "nope.json")]) == 2
-    bad = tmp_path / "bad.json"
-    bad.write_text("{broken")
-    assert main(["analyze", str(bad)]) == 2
-    assert "error:" in capsys.readouterr().err
-
-
 @pytest.fixture
 def c3_path(tmp_path):
     path = tmp_path / "c3.json"
@@ -187,18 +152,6 @@ def test_analyze_runs_the_forward_search_once(c3_path, monkeypatch, capsys):
     assert main(["analyze", c3_path]) == 0
     assert "reset length: 4" in capsys.readouterr().out
     assert len(calls) == 1
-
-
-def test_disagreeing_searches_exit_one(c3_path, monkeypatch, capsys):
-    original = reset_mod.shortest_reset_word
-    monkeypatch.setattr(
-        reset_mod, "shortest_reset_word", lambda dfa: original(dfa) + Word([0])
-    )
-    assert main(["analyze", c3_path]) == 1
-    err = capsys.readouterr().err
-    assert err.count("error:") == 1
-    assert "forward search found 5, layer search found 4" in err
-    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -254,18 +207,37 @@ def _failing_claim(monkeypatch):
         ClaimResult("demo", 3, 7, 5, "fail", None)])
 
 
-# {c3}: cerny(3); {big}: cerny(21); {missing}: no such file;
-# {nodir}: a path in a directory that does not exist
+def test_disagreeing_searches_exit_one(c3_path, monkeypatch, capsys):
+    _disagree(monkeypatch)
+    assert main(["analyze", c3_path]) == 1
+    assert "forward search found 5, layer search found 4" in capsys.readouterr().err
+
+
+def test_verify_paper_reports_failures(monkeypatch, capsys):
+    _failing_claim(monkeypatch)
+    assert main(["verify-paper"]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
+# {c3}: cerny(3); {big}: cerny(21); {broken}: malformed JSON;
+# {missing}: no such file; {nodir}: a path in a directory that does not exist.
+# A row's optional fourth entry is a text the run must print.
 EXIT_CODES = [
+    ([], None, 2),
+    (["frobnicate"], None, 2),
+    (["gen", "--family", "nosuch", "--size", "3"], None, 2),
     (["gen", "--family", "cerny", "--size", "4"], None, 0),
     (["gen", "--family", "cerny", "--size", "4", "-o", "{nodir}"], None, 2),
     (["gen", "--family", "cerny", "--size", "1"], None, 2),
+    (["gen", "--family", "b-series", "--size", "2"], None, 2, "parameter"),
     (["analyze", "{c3}"], None, 0),
     (["analyze", "{missing}"], None, 2),
+    (["analyze", "{broken}"], None, 2),
     (["analyze", "{c3}", "--limit", "5"], None, 2),
-    (["analyze", "{c3}"], _disagree, 1),
+    (["analyze", "{c3}"], _disagree, 1, "forward search found 5, layer search found 4"),
     (["extend", "{c3}", "--set", "1,2"], None, 0),
     (["extend", "{c3}", "--set", "1,x"], None, 2),
+    (["extend", "{c3}", "--set", "1,99"], None, 2),
     (["extend", "{missing}", "--set", "1"], None, 2),
     (["profile", "{c3}"], None, 0),
     (["profile", "{big}"], None, 2),
@@ -285,31 +257,40 @@ EXIT_CODES = [
     (["layers", "{c3}", "--limit", "5"], None, 2),
     (["verify-paper", "--max-m", "5", "--max-n", "4"], None, 0),
     (["verify-paper", "--max-m", "5", "--max-n", "4", "--json", "{nodir}"], None, 2),
-    (["verify-paper"], _failing_claim, 1),
+    (["verify-paper"], _failing_claim, 1, "FAIL     demo(3)"),
 ]
 
 
+ROWS = [row if len(row) == 4 else (*row, None) for row in EXIT_CODES]
+
+
 @pytest.mark.parametrize(
-    "argv, patch, code", EXIT_CODES,
-    ids=[" ".join(argv) + (f" [{patch.__name__}]" if patch else "")
-         for argv, patch, _ in EXIT_CODES],
+    "argv, patch, code, message", ROWS,
+    ids=[(" ".join(argv) or "(no command)") + (f" [{patch.__name__}]" if patch else "")
+         for argv, patch, _, _ in ROWS],
 )
-def test_exit_code_table(tmp_path, monkeypatch, capsys, argv, patch, code):
+def test_exit_code_table(tmp_path, monkeypatch, capsys, argv, patch, code, message):
     big = tmp_path / "c21.json"
     big.write_text(to_json(cerny(21)))
     c3 = tmp_path / "c3.json"
     c3.write_text(to_json(cerny(3)))
-    paths = {"c3": c3, "big": big, "missing": tmp_path / "nope.json",
+    broken = tmp_path / "broken.json"
+    broken.write_text("{broken")
+    paths = {"c3": c3, "big": big, "broken": broken, "missing": tmp_path / "nope.json",
              "nodir": tmp_path / "nodir" / "out.json"}
     if patch:
         patch(monkeypatch)
     assert main([a.format(**paths) for a in argv]) == code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert "Traceback" not in err
     if code == 0:
         assert err == ""
     else:
         assert err.count("error:") == 1
+    if code == 2:  # usage and input errors are caught before any output
+        assert out == ""
+    if message:
+        assert message in out + err
 
 
 def test_package_runs_as_a_module(tmp_path):

@@ -4,17 +4,8 @@ import pytest
 
 from synchromata import ClaimResult, all_passing, run_all
 from synchromata.replication import (
-    check_a_odd_sync,
-    check_b_series_avoiding,
-    check_b_series_extension,
-    check_cerny_baseline,
-    check_conservative,
-    check_conservative_growth,
-    check_image_extension_constant,
-    check_profile_maximum,
+    SUITE,
     check_quadratic_growth,
-    check_ternary_layers,
-    check_ternary_series,
     check_upper_extension,
     greedy_length_formula,
     upper_extension_lower_bound,
@@ -26,27 +17,30 @@ def test_formulas():
     assert [greedy_length_formula(m) for m in (4, 5, 6, 7, 8)] == [14, 22, 31, 44, 56]
 
 
+@pytest.mark.parametrize("row", SUITE, ids=lambda row: row.check.__name__)
+def test_suite_row_guards_its_range_and_passes(row):
+    for outside in (row.first - 1, row.last + 1):
+        with pytest.raises(ValueError):
+            row.check(outside)
+    claims = row.check(row.last)
+    assert claims and all_passing(claims)
+    assert {r.parameter for r in claims} <= set(range(row.first, row.last + 1))
+
+
+def test_run_all_runs_every_row_to_its_last():
+    assert run_all(max_m=12, max_n=12) == [
+        r for row in SUITE for r in row.check(row.last)]
+
+
 def test_individual_checks_pass():
-    assert all(r.ok for r in check_a_odd_sync(4))
-    assert all(r.ok for r in check_upper_extension(5))
-    assert all(r.ok for r in check_upper_extension(12))
-    assert all(r.ok for r in check_profile_maximum(4))
-    assert all(r.ok for r in check_profile_maximum(8))
-    assert all(r.ok for r in check_quadratic_growth(6))
-    assert all(r.ok for r in check_conservative(5))
-    assert all(r.ok for r in check_conservative_growth(6))
-    assert all(r.ok for r in check_b_series_extension(6))
-    assert all(r.ok for r in check_b_series_avoiding(6))
-    assert all(r.ok for r in check_image_extension_constant())
-    assert all(r.ok for r in check_image_extension_constant(7))
-    assert all(r.ok for r in check_ternary_series(5))
-    assert all(r.ok for r in check_ternary_layers(6))
-    assert all(r.ok for r in check_cerny_baseline(5))
+    # a growth check below its last states its property at that top
+    results = check_quadratic_growth(6)
+    assert all_passing(results)
+    assert results[-1].claim_id == "a-odd-growth" and results[-1].parameter == 6
 
 
 def test_bracket_claims_report_bound_status():
-    results = check_upper_extension(5)
-    by_id = {r.claim_id: r for r in results}
+    by_id = {r.claim_id: r for r in check_upper_extension(5) if r.parameter == 5}
     bracket = by_id["a-odd-extension-bracket"]
     assert bracket.status == "bound-ok"
     lo, hi = bracket.expected
@@ -58,20 +52,11 @@ def test_bracket_claims_report_bound_status():
 
 
 def test_parameter_validation():
+    # each check's own range is covered by test_suite_row_guards_its_range_and_passes
     with pytest.raises(ValueError):
-        check_a_odd_sync(2)
+        run_all(max_m=4)
     with pytest.raises(ValueError):
-        check_upper_extension(13)
-    with pytest.raises(ValueError):
-        check_profile_maximum(9)
-    with pytest.raises(ValueError):
-        check_conservative(8)
-    with pytest.raises(ValueError):
-        check_ternary_series(2)
-    with pytest.raises(ValueError):
-        check_image_extension_constant(8)
-    with pytest.raises(ValueError):
-        run_all(max_m=3)
+        run_all(max_n=3)
 
 
 def test_claim_result_shape():
