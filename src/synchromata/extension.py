@@ -17,7 +17,11 @@ S·w⁻¹ contains a query set larger than S, that is f0[S·w⁻¹] > c with
 f0[T] the size of the largest query set inside T.  The extension
 profile queries every subset, so f0[T] = |T|; the image-extension bound
 queries the reachable images, so f0[T] is the size of the largest
-reachable image inside T.  The kernel is pure Python: importing numpy
+reachable image inside T.  f0 is computed once per report, and
+distance 1 is gathered rather than searched: each letter's union table
+is read once through f0, so the sets one letter away from f0 > c are a
+few byte operations per c, and the search pushes predecessors only from
+distance 2 on.  The kernel is pure Python: importing numpy
 alone raises resident memory from about 16 to 28 MB, more than the
 reports themselves need at up to 12 states.  Both reports refuse more
 than :data:`PROFILE_BOUND` states before any search or table build; the
@@ -91,15 +95,43 @@ class ExtensionReport:
     per_cardinality_max: tuple[Optional[int], ...]
 
 
+def _largest_query_inside(queries: bytes, n: int) -> bytes:
+    """f0[T], the size of the largest query set inside T, for every mask T.
+
+    f0 is the sum over c of the up-closure of the queries larger than c,
+    since T lies in that closure exactly when f0[T] > c.  A function of
+    its own so that ``lows`` is freed before the predecessor lists are
+    built: holding both raises the kernel's peak memory.
+    """
+    size = 1 << n
+    # A family of sets is one big integer with a byte per mask; lows[q] is 1
+    # at each mask without state q, so (x & lows[q]) << (8 << q) copies x
+    # from each such mask to the mask with q added.
+    lows = [
+        int.from_bytes((b"\1" * (1 << q) + bytes(1 << q)) * (size >> q + 1), "little")
+        for q in range(n)
+    ]
+    f0 = 0
+    for c in range(n):
+        up = int.from_bytes(queries.translate(_ABOVE[c]), "little")
+        for q, low in enumerate(lows):
+            up |= (up & low) << (8 << q)
+        f0 += up  # each closure is 0 or 1 per byte, so no byte carries
+    return f0.to_bytes(size, "little")
+
+
 def _worst_distances(dfa: Dfa, queries: bytes) -> list[tuple[Optional[int], int]]:
     """Worst growth distance for each size of query set.
 
     ``queries[S]`` is |S| for each query set S and 0 for every other
     subset.  The distance of a query S of size c is the length of a
-    shortest word w with f0[S·w⁻¹] > c (see the module docstring).  For
-    each c that has queries, one multi-source search backwards from every
-    T with f0[T] > c reaches the sets in order of distance, and stops
-    once every query of size c has been reached.
+    shortest word w with f0[S·w⁻¹] > c (see the module docstring).  f0 is
+    computed once, and so is steps[a][T] = f0[T·a⁻¹] for each letter a.
+    For each c that has queries, distance 0 is the sets with f0[T] > c
+    and distance 1 the others with steps[a][T] > c for some a, both read
+    off in mask order by byte translation.  From there one backward
+    search through the predecessor lists reaches the sets in order of
+    distance, and stops once every query of size c has been reached.
 
     Returns one (distance, mask) pair per size c that has queries, in
     increasing c: the largest distance in that group and the first query
@@ -108,29 +140,31 @@ def _worst_distances(dfa: Dfa, queries: bytes) -> list[tuple[Optional[int], int]
     """
     n = dfa.n
     size = 1 << n
+    f0 = _largest_query_inside(queries, n)
     preds: list[list[int]] = [[] for _ in range(size)]  # all T with T·a⁻¹ = S
+    steps: list[bytes] = []  # steps[a][T] = f0[T·a⁻¹]
     for inv in dfa.inverse:
-        for t, s in enumerate(_union_table(inv)):  # s = T·a⁻¹ for T = t
+        table = _union_table(inv)  # table[T] = T·a⁻¹
+        steps.append(bytes(map(f0.__getitem__, table)))
+        for t, s in enumerate(table):
             preds[s].append(t)
-    # A family of sets is one big integer with a byte per mask; lows[q] is 1
-    # at each mask without state q, so (x & lows[q]) << (8 << q) copies x
-    # from each such mask to the mask with q added.
-    lows = [
-        int.from_bytes((b"\1" * (1 << q) + bytes(1 << q)) * (size >> q + 1), "little")
-        for q in range(n)
-    ]
     wanted = Counter(queries)
     out: list[tuple[Optional[int], int]] = []
     for c in range(1, n):
         left = wanted[c]
         if not left:
             continue
-        up = int.from_bytes(queries.translate(_ABOVE[c]), "little")
-        for q, low in enumerate(lows):
-            up |= (up & low) << (8 << q)
-        seen = bytearray(up.to_bytes(size, "little"))  # 1 where f0 > c
-        frontier = list(compress(range(size), seen))
-        worst = worst_set = d = 0
+        above = _ABOVE[c]
+        up = int.from_bytes(f0.translate(above), "little")  # distance 0
+        near = 0  # distance at most 1: some letter steps into f0 > c
+        for step in steps:
+            near |= int.from_bytes(step.translate(above), "little")
+        frontier = list(compress(range(size), (near & ~up).to_bytes(size, "little")))
+        seen = bytearray((up | near).to_bytes(size, "little"))
+        firsts = [s for s in frontier if queries[s] == c]
+        left -= len(firsts)
+        worst, worst_set = (1, firsts[0]) if firsts else (0, 0)
+        d = 1
         while frontier and left:
             d += 1
             following = []

@@ -59,6 +59,8 @@ def from_json(text: str) -> Dfa:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON: {exc}")
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to parse")
     return from_json_dict(doc)
 
 

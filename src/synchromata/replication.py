@@ -184,7 +184,7 @@ def check_upper_extension(ms: range) -> Iterator[ClaimResult]:
                      gate=valid)
 
 
-@_suite("m", 4, 8)
+@_suite("m", 4, 9)
 def check_profile_maximum(ms: range) -> Iterator[ClaimResult]:
     """The upper block is a worst subset of the whole a_odd(m) lattice.
 

@@ -233,6 +233,7 @@ EXIT_CODES = [
     (["analyze", "{c3}"], None, 0),
     (["analyze", "{missing}"], None, 2),
     (["analyze", "{broken}"], None, 2),
+    (["analyze", "{deep}"], None, 2, "nested too deeply"),
     (["analyze", "{c3}", "--limit", "5"], None, 2),
     (["analyze", "{c3}"], _disagree, 1, "forward search found 5, layer search found 4"),
     (["extend", "{c3}", "--set", "1,2"], None, 0),
@@ -276,7 +277,10 @@ def test_exit_code_table(tmp_path, monkeypatch, capsys, argv, patch, code, messa
     c3.write_text(to_json(cerny(3)))
     broken = tmp_path / "broken.json"
     broken.write_text("{broken")
-    paths = {"c3": c3, "big": big, "broken": broken, "missing": tmp_path / "nope.json",
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"n": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    paths = {"c3": c3, "big": big, "broken": broken, "deep": deep,
+             "missing": tmp_path / "nope.json",
              "nodir": tmp_path / "nodir" / "out.json"}
     if patch:
         patch(monkeypatch)

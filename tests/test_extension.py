@@ -71,7 +71,7 @@ def test_a_odd_upper_extension_is_the_greedy_length(m):
     assert len(preimage_word(dfa, upper, word)) > len(upper)
 
 
-@pytest.mark.parametrize("m", range(4, 9))
+@pytest.mark.parametrize("m", range(4, 10))
 def test_a_odd_profile_maximum_is_the_upper_block(m):
     dfa = a_odd(m)
     upper = named_subset(FamilySpec("a-odd", m), "upper")
@@ -142,6 +142,10 @@ def small_automata(draw):
 @given(small_automata())
 @example(Dfa(3, 2, [[2, 3, 1], [2, 1, 3]]))  # permutations: nothing extends
 @example(Dfa(2, 1, [[2, 2]]))  # smallest synchronizing lattice
+# every proper subset (and image) grows in one letter: all sizes tie at 1
+@example(Dfa(3, 3, [[1, 1, 1], [2, 2, 2], [3, 3, 3]]))
+# every singleton ties at 1, but {1, 2} never grows
+@example(Dfa(4, 2, [[1, 1, 3, 3], [2, 2, 4, 4]]))
 def test_lattice_reports_match_oracles(dfa):
     profile = extension_profile(dfa)
     per_card = o_profile(dfa)
