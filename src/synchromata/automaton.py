@@ -9,7 +9,9 @@ Every single-source search over the subset lattice (shortest reset,
 compressing, extending and avoiding words, and the reachable images)
 runs on one kernel, :func:`_shortest_word`: a level-by-level
 breadth-first search from one mask by image or preimage steps, with a
-goal test on each completed level.
+goal test on each completed level.  Each mask reached keeps only its
+predecessor, in one array of 4·2^n bytes (64 MB at 24 states), and the
+letter of each step is recovered on the way back.
 
 A step by one letter is the union, over the states of a mask, of each
 state's successor (image step) or preimage (preimage step), and
@@ -22,6 +24,7 @@ once; the searches, the single steps :func:`image_mask` and
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -347,45 +350,51 @@ def _step_tables(dfa: Dfa, forward: bool) -> tuple[int, list[tuple[list[int], li
 
 def _shortest_word(
     dfa: Dfa, forward: bool, start: int, goal: Callable[[list[int]], Optional[int]]
-) -> tuple[Optional[list[int]], dict[int, int]]:
+) -> tuple[Optional[list[int]], array]:
     """Shortest path from start to a goal set by image or preimage steps.
 
     Level-by-level breadth-first search over masks, memoized in
-    ``parent``, where each mask reached stores its predecessor and the
-    letter into it as one int, ``prev * k + letter`` (-1 for start).
-    ``goal`` gets [start] and then each completed level, in discovery
-    order, and returns the first goal mask in it or None.  Returns the
-    letters of the steps to that mask in step order, or None if no level
-    holds one, together with ``parent``, whose keys are every mask
-    reached.  Ties between equal-length paths are broken by letter order.
+    ``links``, one 4-byte entry per mask (4·2^n bytes): ``links[m]`` is
+    the predecessor of m plus one, 0 while m is unreached and -1 for
+    start.  ``goal`` gets [start] and then each completed level, in
+    discovery order, and returns the first goal mask in it or None.
+    Returns the letters of the steps to that mask in step order, or None
+    if no level holds one, together with ``links``, whose non-zero
+    entries are every mask reached.  Ties between equal-length paths are
+    broken by letter order: a mask is linked from the first letter of
+    its predecessor that reaches it, and on the way back each letter is
+    recovered as that first letter.
     """
-    k = dfa.k
     h, tables = _step_tables(dfa, forward)
     low_bits = (1 << h) - 1
-    parent = {start: -1}
+    links = array("i", [0]) * (1 << dfa.n)
+    links[start] = -1
     level = [start]
     found = goal(level)
     while found is None and level:
         following = []
         for cur in level:
             lo_key, hi_key = cur & low_bits, cur >> h
-            link = cur * k
+            link = cur + 1
             for lo, hi in tables:
                 nxt = lo[lo_key] | hi[hi_key]
-                if nxt not in parent:
-                    parent[nxt] = link
+                if not links[nxt]:
+                    links[nxt] = link
                     following.append(nxt)
-                link += 1
         level = following
         found = goal(level)
     if found is None:
-        return None, parent
+        return None, links
     letters = []
     while found != start:
-        found, letter = divmod(parent[found], k)
-        letters.append(letter)
+        prev = links[found] - 1
+        lo_key, hi_key = prev & low_bits, prev >> h
+        letters.append(next(
+            a for a, (lo, hi) in enumerate(tables) if lo[lo_key] | hi[hi_key] == found
+        ))
+        found = prev
     letters.reverse()
-    return letters, parent
+    return letters, links
 
 
 def _check_set(dfa: Dfa, s: StateSet) -> int:

@@ -31,7 +31,6 @@ kernel's time and memory roughly double with each state beyond that.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import KeysView
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -225,10 +224,10 @@ def extension_profile(dfa: Dfa) -> ExtensionReport:
     )
 
 
-def _reachable_masks(dfa: Dfa) -> KeysView[int]:
-    """Every image of the full set: the masks one unbounded search reaches."""
-    _, parent = _shortest_word(dfa, True, dfa.full_mask, lambda level: None)
-    return parent.keys()
+def _reachable_masks(dfa: Dfa) -> list[int]:
+    """Every image of the full set, in mask order: what one search reaches."""
+    _, links = _shortest_word(dfa, True, dfa.full_mask, lambda level: None)
+    return list(compress(range(1 << dfa.n), links))
 
 
 def reachable_images(dfa: Dfa) -> tuple[StateSet, ...]:

@@ -1,4 +1,5 @@
 import copy
+import json
 import pickle
 import random
 
@@ -29,6 +30,7 @@ from synchromata import (
     shortest_reset_word,
 )
 from synchromata.automaton import MAX_STATES, _step_tables
+from synchromata.io import from_json
 
 from helpers import (
     o_image,
@@ -330,6 +332,22 @@ def test_search_words_match_frozenset_oracle(case):
     if len(s) < n:
         assert _letters(shortest_extending_word(dfa, subset)) == o_shortest_word(
             rows, s, lambda t: len(t) > len(s), forward=False)
+
+
+def test_searches_at_full_width_with_a_large_alphabet():
+    # Every search links a mask to its predecessor alone, so the link fits
+    # for any number of letters.  Here 128 named letters fix every state,
+    # y sends q2..q24 to q2 and z sends q2 to q1: yz resets, and each of
+    # y and z alone keeps a state out of the image.
+    n, names = MAX_STATES, [chr(0x100 + i) for i in range(130)]
+    fixed = list(range(1, n + 1))
+    y, z = [1] + [2] * (n - 1), [1, 1] + fixed[2:]
+    dfa = from_json(json.dumps(
+        {"n": n, "alphabet": names, "delta": [fixed] * 128 + [y, z]}))
+    assert dfa.word_str(shortest_reset_word(dfa)) == names[128] + names[129]
+    assert dfa.word_str(shortest_avoiding_word(dfa, 2)) == names[129]
+    assert dfa.word_str(shortest_avoiding_word(dfa, n)) == names[128]
+    assert shortest_avoiding_word(dfa, 1) is None
 
 
 def test_step_tables_are_a_cache_outside_equality():

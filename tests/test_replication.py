@@ -17,19 +17,25 @@ def test_formulas():
     assert [greedy_length_formula(m) for m in (4, 5, 6, 7, 8)] == [14, 22, 31, 44, 56]
 
 
+@pytest.fixture(scope="module")
+def claims_at_last():
+    """Each SUITE row's claims at its last parameter, computed once."""
+    return {row: row.check(row.last) for row in SUITE}
+
+
 @pytest.mark.parametrize("row", SUITE, ids=lambda row: row.check.__name__)
-def test_suite_row_guards_its_range_and_passes(row):
+def test_suite_row_guards_its_range_and_passes(row, claims_at_last):
     for outside in (row.first - 1, row.last + 1):
         with pytest.raises(ValueError):
             row.check(outside)
-    claims = row.check(row.last)
+    claims = claims_at_last[row]
     assert claims and all_passing(claims)
     assert {r.parameter for r in claims} <= set(range(row.first, row.last + 1))
 
 
-def test_run_all_runs_every_row_to_its_last():
+def test_run_all_runs_every_row_to_its_last(claims_at_last):
     assert run_all(max_m=12, max_n=12) == [
-        r for row in SUITE for r in row.check(row.last)]
+        r for row in SUITE for r in claims_at_last[row]]
 
 
 def test_individual_checks_pass():
