@@ -13,29 +13,26 @@ images as every set an unbounded image search from the full set meets.
 
 Both whole-lattice reports run on one kernel, :func:`_worst_distances`.
 For each query set S of size c it finds the shortest word w such that
-S·w⁻¹ contains a query set larger than S, that is f0[S·w⁻¹] > c with
-f0[T] the size of the largest query set inside T.  The extension
-profile queries every subset, so f0[T] = |T|; the image-extension bound
-queries the reachable images, so f0[T] is the size of the largest
-reachable image inside T.  f0 is computed once per report, and
-distance 1 is gathered rather than searched: each letter's union table
-is read once through f0, so the sets one letter away from f0 > c are a
-few byte operations per c, and the search pushes predecessors only from
-distance 2 on.  The kernel is pure Python: importing numpy
-alone raises resident memory from about 16 to 28 MB, more than the
-reports themselves need at up to 12 states.  Both reports refuse more
-than :data:`PROFILE_BOUND` states before any search or table build; the
-kernel's time and memory roughly double with each state beyond that.
+S·w⁻¹ contains a query set larger than S.  The extension profile
+queries every subset, the image-extension bound the reachable images.
+One backward breadth-first search per size c covers the whole lattice,
+starting from the up-closure of the larger queries.  Every family of
+subsets is one int with a bit per mask, so a level is a few masked
+shifts per letter (:func:`_pull_program`); memory is three 2^n-bit
+masks per program step, a few 2^n-bit families and the 2^n query
+bytes.  The kernel is pure Python: importing numpy alone raises
+resident memory from about 16 to 28 MB.  Both reports refuse more than
+:data:`PROFILE_BOUND` states before any search; the kernel's time and
+memory grow two- to threefold with each state beyond that.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from operator import itemgetter
-from typing import Optional
+from typing import Optional, Sequence
 
 from .automaton import (
     MAX_STATES,
@@ -45,18 +42,20 @@ from .automaton import (
     Word,
     _check_set,
     _shortest_word,
-    _union_table,
     is_synchronizing,
     remove_letter,
 )
 
 #: Largest n for which whole-lattice reports (profile, image-extension
-#: bound) are attempted; both refuse larger automata before any search or
-#: table build.  Single-subset queries work up to the mask width.
+#: bound) are attempted; both refuse larger automata before any search.
+#: A profile at 20 states peaks near 35 MB.  Single-subset queries work
+#: up to the mask width.
 PROFILE_BOUND = 20
 
-# _ABOVE[c] translates a byte v to 1 if v > c and to 0 otherwise
-_ABOVE = [bytes(c + 1) + b"\1" * (255 - c) for c in range(MAX_STATES)]
+# _IS[c] translates a byte v to the digit 1 if v == c and to 0 otherwise
+_IS = [bytes(48 + (v == c) for v in range(256)) for c in range(MAX_STATES + 1)]
+# _INC translates a byte v to v + 1
+_INC = bytes(range(1, 256)) + b"\0"
 
 
 def shortest_extending_word(dfa: Dfa, s: StateSet) -> Optional[Word]:
@@ -94,29 +93,42 @@ class ExtensionReport:
     per_cardinality_max: tuple[Optional[int], ...]
 
 
-def _largest_query_inside(queries: bytes, n: int) -> bytes:
-    """f0[T], the size of the largest query set inside T, for every mask T.
+def _pull_program(inv: Sequence[int], lows: list[int]) -> list[tuple[int, int, int, int]]:
+    """Steps (keep, rise, fall, s) turning a family x into y, y[T] = x[T·a⁻¹].
 
-    f0 is the sum over c of the up-closure of the queries larger than c,
-    since T lies in that closure exactly when f0[T] > c.  A function of
-    its own so that ``lows`` is freed before the predecessor lists are
-    built: holding both raises the kernel's peak memory.
+    ``inv[q]`` is the mask of q·a⁻¹, ``lows[q]`` the family of masks
+    without q, and a step is x = x & keep | (x & rise) << s | (x & fall) >> s.
+    In each block inv[q], copy steps (s = 2^e) copy the bit of a
+    representative r (q if q·a = q, else the first state) into each other
+    state e, so x[T] then depends only on the representatives in T.
+    Transpositions of states i < j (s = 2^j - 2^i) then move each image
+    state to its representative and each other state to a freed one.
     """
-    size = 1 << n
-    # A family of sets is one big integer with a byte per mask; lows[q] is 1
-    # at each mask without state q, so (x & lows[q]) << (8 << q) copies x
-    # from each such mask to the mask with q added.
-    lows = [
-        int.from_bytes((b"\1" * (1 << q) + bytes(1 << q)) * (size >> q + 1), "little")
-        for q in range(n)
-    ]
-    f0 = 0
-    for c in range(n):
-        up = int.from_bytes(queries.translate(_ABOVE[c]), "little")
-        for q, low in enumerate(lows):
-            up |= (up & low) << (8 << q)
-        f0 += up  # each closure is 0 or 1 per byte, so no byte carries
-    return f0.to_bytes(size, "little")
+    n = len(inv)
+    highs = [low << (1 << q) for q, low in enumerate(lows)]
+    program, target, freed = [], [None] * n, []  # target[q]: where q moves
+    for q, block in enumerate(inv):
+        if block:
+            r = target[q] = q if block >> q & 1 else (block & -block).bit_length() - 1
+            for e in range(n):
+                if block >> e & 1 and e != r:
+                    both0, both1 = lows[r] & lows[e], highs[r] & highs[e]
+                    program.append((both0 | both1, both0, both1, 1 << e))
+                    freed.append(e)
+    spare = iter([e for e in freed if target[e] is not None])
+    for q in range(n):
+        if target[q] is None:  # outside the image
+            target[q] = q if q in freed else next(spare)
+    # target = t1∘t2∘…: fix each state in turn by composing a transposition
+    # on the left; the pull applies them in the order found
+    for i in range(n):
+        j = target[i]
+        if j != i:
+            target[target.index(i)], target[i] = j, i
+            i, j = min(i, j), max(i, j)
+            keep = lows[i] & lows[j] | highs[i] & highs[j]
+            program.append((keep, highs[i] & lows[j], lows[i] & highs[j], (1 << j) - (1 << i)))
+    return program
 
 
 def _worst_distances(dfa: Dfa, queries: bytes) -> list[tuple[Optional[int], int]]:
@@ -124,13 +136,13 @@ def _worst_distances(dfa: Dfa, queries: bytes) -> list[tuple[Optional[int], int]
 
     ``queries[S]`` is |S| for each query set S and 0 for every other
     subset.  The distance of a query S of size c is the length of a
-    shortest word w with f0[S·w⁻¹] > c (see the module docstring).  f0 is
-    computed once, and so is steps[a][T] = f0[T·a⁻¹] for each letter a.
-    For each c that has queries, distance 0 is the sets with f0[T] > c
-    and distance 1 the others with steps[a][T] > c for some a, both read
-    off in mask order by byte translation.  From there one backward
-    search through the predecessor lists reaches the sets in order of
-    distance, and stops once every query of size c has been reached.
+    shortest word w such that S·w⁻¹ contains a query larger than c.
+    Each family of subsets is one int with a bit per mask.  For each c
+    that has queries, distance 0 is the up-closure of the larger
+    queries, and each further level is the sets T not seen yet with
+    T·a⁻¹ in the last level for some letter a, one pull program per
+    letter.  The search stops once every query of size c is reached or
+    a level is empty.
 
     Returns one (distance, mask) pair per size c that has queries, in
     increasing c: the largest distance in that group and the first query
@@ -138,52 +150,37 @@ def _worst_distances(dfa: Dfa, queries: bytes) -> list[tuple[Optional[int], int]
     never grows.
     """
     n = dfa.n
-    size = 1 << n
-    f0 = _largest_query_inside(queries, n)
-    preds: list[list[int]] = [[] for _ in range(size)]  # all T with T·a⁻¹ = S
-    steps: list[bytes] = []  # steps[a][T] = f0[T·a⁻¹]
-    for inv in dfa.inverse:
-        table = _union_table(inv)  # table[T] = T·a⁻¹
-        steps.append(bytes(map(f0.__getitem__, table)))
-        for t, s in enumerate(table):
-            preds[s].append(t)
-    wanted = Counter(queries)
+    # lows[q]: bit T set for each mask T without state q
+    lows = [int(("0" * (1 << q) + "1" * (1 << q)) * (1 << n - q - 1), 2) for q in range(n)]
+    programs = [_pull_program(inv, lows) for inv in dfa.inverse]
     out: list[tuple[Optional[int], int]] = []
-    for c in range(1, n):
-        left = wanted[c]
-        if not left:
-            continue
-        above = _ABOVE[c]
-        up = int.from_bytes(f0.translate(above), "little")  # distance 0
-        near = 0  # distance at most 1: some letter steps into f0 > c
-        for step in steps:
-            near |= int.from_bytes(step.translate(above), "little")
-        frontier = list(compress(range(size), (near & ~up).to_bytes(size, "little")))
-        seen = bytearray((up | near).to_bytes(size, "little"))
-        firsts = [s for s in frontier if queries[s] == c]
-        left -= len(firsts)
-        worst, worst_set = (1, firsts[0]) if firsts else (0, 0)
-        d = 1
-        while frontier and left:
-            d += 1
-            following = []
-            for cur in frontier:
-                for prev in preds[cur]:
-                    if not seen[prev]:
-                        seen[prev] = 1
-                        following.append(prev)
-                        if queries[prev] == c:
-                            left -= 1
-                            # d never falls, so ties keep the smallest mask
-                            if d > worst or prev < worst_set:
-                                worst, worst_set = d, prev
-            frontier = following
-        if left:
-            stuck = next(s for s in range(size) if queries[s] == c and not seen[s])
-            out.append((None, stuck))
-        else:
-            out.append((worst, worst_set))
-    return out
+    digits = queries[::-1]  # most significant first: bit S of int(digits, 2) is byte S
+    up = 0  # the queries larger than c
+    for c in range(n, 0, -1):  # c = n only adds the full set to up
+        sized = left = int(digits.translate(_IS[c]), 2)  # the queries of size c
+        if left and c < n:
+            for q, low in enumerate(lows):  # distance 0: close up upwards
+                up |= (up & low) << (1 << q)
+            seen = frontier = up
+            d = 0
+            while frontier and left:
+                d += 1
+                reached = 0
+                for program in programs:
+                    x = frontier
+                    for keep, rise, fall, s in program:
+                        x = x & keep | (x & rise) << s | (x & fall) >> s
+                    reached |= x
+                frontier = reached & ~seen
+                seen |= frontier
+                hits = frontier & left
+                if hits:
+                    left ^= hits
+                    # d never falls, so the last level with hits is the worst
+                    worst, witness = d, (hits & -hits).bit_length() - 1
+            out.append((None, (left & -left).bit_length() - 1) if left else (worst, witness))
+        up |= sized
+    return out[::-1]
 
 
 def extension_profile(dfa: Dfa) -> ExtensionReport:
@@ -204,7 +201,10 @@ def extension_profile(dfa: Dfa) -> ExtensionReport:
         )
     if n < 2:
         raise ValueError("a single-state automaton has no proper subsets to extend")
-    worst = _worst_distances(dfa, bytes(s.bit_count() for s in range(1 << n)))
+    sizes = b"\0"  # sizes[S] = |S|, doubled once per state
+    for _ in range(n):
+        sizes += sizes.translate(_INC)
+    worst = _worst_distances(dfa, sizes)
     per_card = tuple(length for length, _ in worst)
     stuck = next((s for length, s in worst if length is None), None)
     if stuck is not None:

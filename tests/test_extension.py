@@ -26,6 +26,8 @@ from synchromata import (
     shortest_extending_word,
 )
 
+from synchromata.automaton import _union_table
+from synchromata.extension import _pull_program
 from synchromata.replication import greedy_length_formula
 
 from helpers import (
@@ -146,6 +148,10 @@ def small_automata(draw):
 @example(Dfa(3, 3, [[1, 1, 1], [2, 2, 2], [3, 3, 3]]))
 # every singleton ties at 1, but {1, 2} never grows
 @example(Dfa(4, 2, [[1, 1, 3, 3], [2, 2, 4, 4]]))
+# a three-state block and two states outside the image of letter a
+@example(Dfa(5, 2, [[2, 2, 2, 5, 4], [2, 3, 4, 5, 1]]))
+# an identity letter (an empty pull program) beside a cyclic one
+@example(Dfa(4, 3, [[1, 2, 3, 4], [2, 3, 4, 1], [2, 2, 3, 4]]))
 def test_lattice_reports_match_oracles(dfa):
     profile = extension_profile(dfa)
     per_card = o_profile(dfa)
@@ -162,6 +168,29 @@ def test_lattice_reports_match_oracles(dfa):
     assert report.worst_length == length
     assert frozenset(report.worst_set) == worst
     assert report.constant_witness == Fraction(length, dfa.n)
+
+
+@st.composite
+def letter_and_family(draw):
+    """n, one letter's transition row and a family x of subsets (bit T per mask)."""
+    n = draw(st.integers(1, 8))
+    row = draw(st.lists(st.integers(1, n), min_size=n, max_size=n))
+    return n, row, draw(st.integers(0, (1 << (1 << n)) - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(letter_and_family())
+@example((5, [2, 2, 2, 5, 4], 0xB38F0F55))  # a three-state block, two states lost
+@example((5, [5, 1, 2, 3, 4], 0xB38F0F55))  # one cycle: transpositions only
+def test_pull_program_reads_each_mask_through_the_letter(case):
+    n, row, x = case
+    inv = Dfa(n, 1, [row]).inverse[0]
+    lows = [sum(1 << t for t in range(1 << n) if not t >> q & 1) for q in range(n)]
+    y = x
+    for keep, rise, fall, s in _pull_program(inv, lows):
+        y = y & keep | (y & rise) << s | (y & fall) >> s
+    table = _union_table(inv)  # table[T] = T·a⁻¹
+    assert [y >> t & 1 for t in range(1 << n)] == [x >> table[t] & 1 for t in range(1 << n)]
 
 
 def test_profile_finite_iff_synchronizing_for_uniform_indegree():
