@@ -18,14 +18,14 @@ state's successor (image step) or preimage (preimage step), and
 :func:`_union_table` is the only builder of tables of such unions.  Per
 automaton and letter, a pair of them, one per half of the mask, is built
 once; the searches, the single steps :func:`image_mask` and
-:func:`preimage_mask`, and the closures behind
-:func:`is_strongly_connected` all look steps up in those pairs.
+:func:`preimage_mask`, the closures behind :func:`is_strongly_connected`
+and the merge-set fixpoint behind :func:`is_synchronizing` all look steps
+up in those pairs.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 #: Width of the subset bitmask; automata larger than this are rejected.
@@ -504,46 +504,31 @@ def is_strongly_connected(dfa: Dfa) -> bool:
 def is_synchronizing(dfa: Dfa) -> bool:
     """True iff some word maps every state to one state.
 
-    Decided by backward reachability from the mergeable pairs in the
-    graph of unordered state pairs, which avoids the exponential subset
-    construction.
+    That holds iff some word merges each pair of states.  ``merge[p]``
+    grows from {p} to the states that some word sends to the same state
+    as p: a visit to p adds merge[p·a]·a⁻¹ for every letter a, and when
+    merge[p] grows, the predecessors of p are due for another visit.
+    Each set grows at most n - 1 times, and the predecessor lists of all
+    states have k·n entries together, so there are at most
+    n + k·n·(n - 1) visits of k preimage lookups, however the states
+    are numbered.
     """
-    n = dfa.n
-    if n == 1:
-        return True
-    pair_id = {}
-    pairs = []
-    for p in range(n):
-        for q in range(p + 1, n):
-            pair_id[p, q] = len(pairs)
-            pairs.append((p, q))
-    good = [False] * len(pairs)
-    queue = deque()
-    for i, (p, q) in enumerate(pairs):
-        if any(dfa.delta[a][p] == dfa.delta[a][q] for a in range(dfa.k)):
-            good[i] = True
-            queue.append((p, q))
-    while queue:
-        r, s = queue.popleft()
-        for a in range(dfa.k):
-            pm = dfa.inverse[a][r]
-            while pm:
-                lp = pm & -pm
-                pm ^= lp
-                p = lp.bit_length() - 1
-                sm = dfa.inverse[a][s]
-                while sm:
-                    ls = sm & -sm
-                    sm ^= ls
-                    q = ls.bit_length() - 1
-                    if p == q:
-                        continue
-                    key = (p, q) if p < q else (q, p)
-                    i = pair_id[key]
-                    if not good[i]:
-                        good[i] = True
-                        queue.append(key)
-    return all(good)
+    h, tables = _step_tables(dfa, False)
+    low_bits = (1 << h) - 1
+    merge = [1 << p for p in range(dfa.n)]
+    due = dfa.full_mask
+    while due:
+        p = due.bit_length() - 1
+        due ^= 1 << p
+        grown = merge[p]
+        for (lo, hi), row in zip(tables, dfa.delta):
+            m = merge[row[p]]
+            grown |= lo[m & low_bits] | hi[m >> h]
+        if grown != merge[p]:
+            merge[p] = grown
+            for inv in dfa.inverse:
+                due |= inv[p]
+    return all(m == dfa.full_mask for m in merge)
 
 
 def remove_letter(dfa: Dfa, a: Union[int, str]) -> Dfa:

@@ -37,7 +37,7 @@ from .extension import (
     shortest_extending_word,
 )
 from .families import FAMILIES, build_family
-from .replication import run_all
+from .replication import check_caps, run_all
 from .reset import checked_reset_word, inverse_layers
 
 
@@ -155,7 +155,9 @@ def cmd_layers(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    # open the report first, so an unwritable path fails before the suite runs
+    # check the caps and open the report before the suite runs: a bad cap
+    # then leaves an existing report alone, and a bad path fails up front
+    check_caps(args.max_m, args.max_n)
     with open(args.json, "w", encoding="utf-8") if args.json else nullcontext() as fh:
         results = run_all(max_m=args.max_m, max_n=args.max_n)
         for r in results:

@@ -42,6 +42,13 @@ def _drop(m: int) -> dict[int, int]:
     return {m + i: i for i in range(1, m)}
 
 
+def _check_param(name: str, param: int) -> None:
+    """Refuse a parameter below the minimum that FAMILIES lists for name."""
+    _, low, meaning = FAMILIES[name]
+    if param < low:
+        raise ValueError(f"family {name!r} needs parameter >= {low} ({meaning}), got {param}")
+
+
 def a_odd(m: int) -> Dfa:
     """Two counter-rotating cycles on 2m-1 states with a folding letter.
 
@@ -51,8 +58,7 @@ def a_odd(m: int) -> Dfa:
     to q_i.  The upper subset of this family needs extending words of
     quadratic length.
     """
-    if m < 3:
-        raise ValueError(f"a_odd needs m >= 3, got {m}")
+    _check_param("a-odd", m)
     n = 2 * m - 1
     a = _cycle(1, m) | _cycle(m + 1, n)
     b = _drop(m) | {m: n, n: m}
@@ -66,8 +72,7 @@ def a_even(m: int) -> Dfa:
     q_1..q_{m-1}, swaps q_m with q_{2m}, drops q_{m+i} to q_i for
     i <= m-2 and sends q_{2m-1} to q_m.
     """
-    if m < 3:
-        raise ValueError(f"a_even needs m >= 3, got {m}")
+    _check_param("a-even", m)
     n = 2 * m
     a = _cycle(1, m) | _cycle(m + 1, n)
     b = _drop(m) | {m: n, n - 1: m, n: m}
@@ -82,8 +87,7 @@ def conservative(m: int) -> Dfa:
     single a-preimage, but the grown set can only move forward through
     a quadratic-length bottleneck, so cheap extensions do not compose.
     """
-    if m < 3:
-        raise ValueError(f"conservative needs m >= 3, got {m}")
+    _check_param("conservative", m)
     n = 2 * m
     a = _cycle(1, m) | _cycle(m + 1, n - 1) | {n: m + 1}
     b = _drop(m) | {m: n, n: m}
@@ -98,8 +102,7 @@ def b_series(m: int) -> Dfa:
     Its two-state image subsets need extending words of length 3m-1,
     and avoiding q_{2m} takes words of length 2m+2.
     """
-    if m < 4:
-        raise ValueError(f"b_series needs m >= 4, got {m}")
+    _check_param("b-series", m)
     n = 2 * m
     a = _cycle(1, m) | _cycle(m + 1, n - 1)
     b = {m - 1: n - 2, n - 2: m - 1, m: n, n - 1: n, n: n - 1}
@@ -113,8 +116,7 @@ def m_series(n: int) -> Dfa:
     successor), b merges q_1 into q_2 and fixes everything else, and c
     swaps q_1 with q_n.  Removing any letter breaks synchronization.
     """
-    if n < 3:
-        raise ValueError(f"m_series needs n >= 3, got {n}")
+    _check_param("m-series", n)
     a = _cycle(1, n) | {n: 2}
     return Dfa(n, 3, [_letter(n, a), _letter(n, {1: 2}), _letter(n, {1: n, n: 1})])
 
@@ -124,8 +126,7 @@ def m_prime_series(n: int) -> Dfa:
 
     Identical except that c merges q_n into q_1 instead of swapping.
     """
-    if n < 3:
-        raise ValueError(f"m_prime_series needs n >= 3, got {n}")
+    _check_param("m-prime", n)
     a = _cycle(1, n) | {n: 2}
     return Dfa(n, 3, [_letter(n, a), _letter(n, {1: 2}), _letter(n, {n: 1})])
 
@@ -137,8 +138,7 @@ def cerny(n: int) -> Dfa:
     rest.  Any convention with the same reset length would do; this one
     is pinned so serialized output stays stable.
     """
-    if n < 2:
-        raise ValueError(f"cerny needs n >= 2, got {n}")
+    _check_param("cerny", n)
     return Dfa(n, 2, [_letter(n, _cycle(1, n)), _letter(n, {1: 2})])
 
 
@@ -166,12 +166,7 @@ class FamilySpec:
             raise ValueError(
                 f"unknown family {self.name!r}; choose from {sorted(FAMILIES)}"
             )
-        builder, low, meaning = FAMILIES[self.name]
-        if self.param < low:
-            raise ValueError(
-                f"family {self.name!r} needs parameter >= {low} ({meaning}), "
-                f"got {self.param}"
-            )
+        _check_param(self.name, self.param)
 
     def build(self) -> Dfa:
         return FAMILIES[self.name][0](self.param)
@@ -208,8 +203,7 @@ def a_odd_sync_word(m: int) -> Word:
     Shape: b a b a^m b followed by m-2 repetitions of a^{m-1} b a^m b.
     Each repetition peels one more state off the lower cycle.
     """
-    if m < 3:
-        raise ValueError(f"need m >= 3, got {m}")
+    _check_param("a-odd", m)
     head = Word([B, A, B]) + Word([A]) * m + Word([B])
     block = Word([A]) * (m - 1) + Word([B]) + Word([A]) * m + Word([B])
     return head + block * (m - 2)
@@ -217,15 +211,13 @@ def a_odd_sync_word(m: int) -> Word:
 
 def m_series_sync_word(n: int) -> Word:
     """The word a c b (a^{n-2} c b)^{n-3} of length n^2-3n+3 resetting m_series(n)."""
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+    _check_param("m-series", n)
     return Word([A, C, B]) + (Word([A]) * (n - 2) + Word([C, B])) * (n - 3)
 
 
 def m_prime_series_sync_word(n: int) -> Word:
     """The word c b (a^{n-2} c b)^{n-3} of length n^2-3n+2 resetting m_prime_series(n)."""
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+    _check_param("m-prime", n)
     return Word([C, B]) + (Word([A]) * (n - 2) + Word([C, B])) * (n - 3)
 
 

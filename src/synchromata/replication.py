@@ -18,7 +18,14 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Union
 
-from .automaton import Word, is_strongly_connected, is_synchronizing
+from .automaton import (
+    StateSet,
+    Word,
+    is_strongly_connected,
+    is_synchronizing,
+    preimage,
+    preimage_word,
+)
 from .extension import (
     extension_profile,
     image_extension_bound,
@@ -41,7 +48,6 @@ from .families import (
     named_subset,
 )
 from .reset import check_sync_word, inverse_layers, reset_length
-from .automaton import StateSet, preimage, preimage_word
 
 Expected = Union[int, tuple[int, int]]
 
@@ -318,6 +324,12 @@ def check_cerny_baseline(ns: range) -> Iterator[ClaimResult]:
         yield _exact("cerny-reset", n, (n - 1) ** 2, -1 if length is None else length)
 
 
+def check_caps(max_m: int, max_n: int) -> None:
+    """Refuse caps too low for a meaningful suite (run_all's precondition)."""
+    if max_m < 5 or max_n < 4:
+        raise ValueError("need max_m >= 5 and max_n >= 4 for a meaningful suite")
+
+
 def run_all(max_m: int = 8, max_n: int = 10) -> list[ClaimResult]:
     """Run the whole claim suite at the given desk bounds.
 
@@ -326,8 +338,7 @@ def run_all(max_m: int = 8, max_n: int = 10) -> list[ClaimResult]:
     smaller of its cap and its last parameter, and is skipped when its
     cap is below its first.  The default suite runs in under a second.
     """
-    if max_m < 5 or max_n < 4:
-        raise ValueError("need max_m >= 5 and max_n >= 4 for a meaningful suite")
+    check_caps(max_m, max_n)
     caps = {"m": max_m, "n": max_n}
     results: list[ClaimResult] = []
     for row in SUITE:

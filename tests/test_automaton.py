@@ -37,6 +37,7 @@ from helpers import (
     o_preimage,
     o_preimage_word,
     o_reachable_images,
+    o_reset_length,
     o_shortest_word,
     o_strongly_connected,
     random_dfa,
@@ -415,11 +416,16 @@ def test_synchronizing_predicate():
     assert is_synchronizing(Dfa(1, 1, [[1]]))
 
 
-def test_synchronizing_iff_reset_word_exists():
-    rng = random.Random(13)
-    for _ in range(150):
-        dfa = random_dfa(rng, rng.randint(2, 10), rng.randint(1, 3))
-        assert is_synchronizing(dfa) == (shortest_reset_word(dfa) is not None)
+@settings(max_examples=300, deadline=None)
+@given(transition_rows(7))
+@example([[1]])                                     # n = 1: already synchronized
+@example([[2, 3, 1], [2, 1, 3]])                    # every letter a permutation
+@example([[1, 2, 3], [1, 1, 3]])                    # an identity beside a merge
+@example([[2, 3, 4, 5, 6, 1], [2, 2, 3, 4, 5, 6]])  # cerny(6): 36 visits
+@example([[2, 2, 3, 4, 5, 6], [2, 3, 4, 5, 6, 1]])  # cerny(6), merging letter first
+def test_synchronizing_iff_reset_word_exists(rows):
+    dfa = Dfa(len(rows[0]), len(rows), rows)
+    assert is_synchronizing(dfa) == (o_reset_length(rows) is not None)
 
 
 # ---------------------------------------------------------------------

@@ -133,6 +133,14 @@ def test_verify_paper(tmp_path, capsys):
         <= set(data[0])
 
 
+def test_bad_cap_leaves_an_existing_report_alone(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    report.write_text("[]\n")
+    assert main(["verify-paper", "--max-m", "3", "--json", str(report)]) == 2
+    assert report.read_text() == "[]\n"
+    assert "max_m >= 5" in capsys.readouterr().err
+
+
 @pytest.fixture
 def c3_path(tmp_path):
     path = tmp_path / "c3.json"

@@ -76,6 +76,12 @@ def test_parameter_validation():
         m_series(2)
     with pytest.raises(ValueError):
         cerny(1)
+    for name, (builder, low, _) in FAMILIES.items():
+        with pytest.raises(ValueError, match=f"{name}.*parameter >= {low}"):
+            builder(low - 1)
+    for word in (a_odd_sync_word, m_series_sync_word, m_prime_series_sync_word):
+        with pytest.raises(ValueError, match="parameter >= 3"):
+            word(2)
 
 
 def test_family_tables_are_frozen():
