@@ -10,14 +10,22 @@ error exit prints one ``error:`` line to stderr.
 No subcommand takes a search cap: the reset searches always settle, and
 ``profile`` and ``conjecture`` refuse more than ``PROFILE_BOUND`` states
 before any search.
+
+The argument parser is built once per process, on the first :func:`main`
+call, and shared by every later call.  Each subcommand runs the
+``cmd_<name>`` function of this module (``-`` read as ``_``), looked up
+by name when it is called.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from contextlib import nullcontext
+from functools import cache
 from typing import Optional
 
 from . import io
@@ -155,28 +163,46 @@ def cmd_layers(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    # check the caps and open the report before the suite runs: a bad cap
-    # then leaves an existing report alone, and a bad path fails up front
+    # check the caps and open a file beside the report before the suite
+    # runs, so a bad cap or path fails up front; the file replaces the
+    # report only once complete, so a run stopped in the suite leaves an
+    # existing report as it was
     check_caps(args.max_m, args.max_n)
-    with open(args.json, "w", encoding="utf-8") if args.json else nullcontext() as fh:
-        results = run_all(max_m=args.max_m, max_n=args.max_n)
-        for r in results:
-            expected = r.expected if isinstance(r.expected, int) else list(r.expected)
-            line = (f"{r.status.upper():8s} {r.claim_id}({r.parameter}): "
-                    f"computed={r.computed} expected={expected}")
-            print(line)
-        failed = sum(not r.ok for r in results)
-        print(f"{len(results) - failed}/{len(results)} claims passed")
-        if fh is not None:
-            json.dump([r.to_dict() for r in results], fh, indent=2)
-            fh.write("\n")
+    part = f"{args.json}.{os.getpid()}.tmp" if args.json else None
+    if part and os.path.isdir(args.json):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.json)
+    try:
+        fh = open(part, "w", encoding="utf-8") if part else nullcontext()
+    except OSError as exc:
+        exc.filename = args.json  # name the report, not the file beside it
+        raise
+    try:
+        with fh:
+            results = run_all(max_m=args.max_m, max_n=args.max_n)
+            for r in results:
+                expected = r.expected if isinstance(r.expected, int) else list(r.expected)
+                line = (f"{r.status.upper():8s} {r.claim_id}({r.parameter}): "
+                        f"computed={r.computed} expected={expected}")
+                print(line)
+            failed = sum(not r.ok for r in results)
+            print(f"{len(results) - failed}/{len(results)} claims passed")
+            if part:
+                json.dump([r.to_dict() for r in results], fh, indent=2)
+                fh.write("\n")
+        if part:
+            os.replace(part, args.json)
+    finally:
+        if part and os.path.exists(part):
+            os.remove(part)
     if failed:
         print(f"error: {failed} claims failed", file=sys.stderr)
         return 1
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; callers share it and must not change it."""
     parser = argparse.ArgumentParser(
         prog="synchromata",
         description="Exact synchronization analysis of deterministic automata",
@@ -189,40 +215,32 @@ def build_parser() -> argparse.ArgumentParser:
                    help="family parameter (m for the 2m-state families, n otherwise)")
     p.add_argument("--format", choices=["json", "text", "dot"], default="json")
     p.add_argument("--output", "-o", help="write to a file instead of stdout")
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("analyze", help="connectivity, synchronization, reset length")
     p.add_argument("automaton", help="automaton file (JSON or text)")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("extend", help="shortest extending word for a subset")
     p.add_argument("automaton")
     p.add_argument("--set", required=True,
                    help="comma-separated 1-based state numbers, e.g. 6,7,8,9")
-    p.set_defaults(func=cmd_extend)
 
     p = sub.add_parser("profile", help="extension profile over all subsets")
     p.add_argument("automaton")
-    p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("avoid", help="shortest word keeping a state out of the image")
     p.add_argument("automaton")
     p.add_argument("--state", required=True, type=int)
-    p.set_defaults(func=cmd_avoid)
 
     p = sub.add_parser("images", help="subsets reachable as images of the full set")
     p.add_argument("automaton")
     p.add_argument("--list", action="store_true", help="print every image")
-    p.set_defaults(func=cmd_images)
 
     p = sub.add_parser("conjecture", help="image-aware extension bound report")
     p.add_argument("automaton")
-    p.set_defaults(func=cmd_conjecture)
 
     p = sub.add_parser("layers", help="inverse layer search for the reset length")
     p.add_argument("automaton")
     p.add_argument("--trace", action="store_true", help="dump every layer")
-    p.set_defaults(func=cmd_layers)
 
     p = sub.add_parser("verify-paper", help="run the full replication claim suite")
     p.add_argument("--max-m", type=int, default=8,
@@ -230,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=10,
                    help="cap for the ternary series size")
     p.add_argument("--json", help="also write the report as JSON to this path")
-    p.set_defaults(func=cmd_verify_paper)
 
     return parser
 
@@ -242,7 +259,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

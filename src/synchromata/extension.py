@@ -150,8 +150,15 @@ def _worst_distances(dfa: Dfa, queries: bytes) -> list[tuple[Optional[int], int]
     never grows.
     """
     n = dfa.n
-    # lows[q]: bit T set for each mask T without state q
-    lows = [int(("0" * (1 << q) + "1" * (1 << q)) * (1 << n - q - 1), 2) for q in range(n)]
+    # lows[q]: bit T set for each mask T without state q, its first period
+    # of 2^(q+1) bits doubled up to 2^n bits
+    lows = []
+    for q in range(n):
+        low, width = (1 << (1 << q)) - 1, 2 << q
+        while width < 1 << n:
+            low |= low << width
+            width <<= 1
+        lows.append(low)
     programs = [_pull_program(inv, lows) for inv in dfa.inverse]
     out: list[tuple[Optional[int], int]] = []
     digits = queries[::-1]  # most significant first: bit S of int(digits, 2) is byte S

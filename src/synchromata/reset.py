@@ -82,17 +82,8 @@ def _add_members(member: list[int], masks: list[int], base: int) -> None:
         member[q] |= sum(1 << i for i, s in enumerate(masks) if s & bit) << base
 
 
-def inverse_layers(dfa: Dfa) -> LayerTrace:
-    """Grow the layer families L_0, L_1, ... and report where Q first appears.
-
-    L_0 holds the singletons that some letter maps at least two states
-    onto, or the full set itself when there is only one state.  Each next
-    layer takes all one-letter preimages of the previous layer and
-    discards the visited ones: singletons, sets contained in a member of
-    any earlier layer, and proper subsets of another candidate in the
-    same round.  Stops early once the full set appears or a layer
-    comes out empty.
-    """
+def _layer_search(dfa: Dfa) -> tuple[list[list[int]], Optional[int]]:
+    """The layers of :func:`inverse_layers` as lists of masks, and ``found_at``."""
     n = dfa.n
     full = dfa.full_mask
     h, tables = _step_tables(dfa, False)
@@ -135,9 +126,23 @@ def inverse_layers(dfa: Dfa) -> LayerTrace:
         kept_count += len(level)
         if full in level:
             found_at = i
+    return layer_masks, found_at
 
+
+def inverse_layers(dfa: Dfa) -> LayerTrace:
+    """Grow the layer families L_0, L_1, ... and report where Q first appears.
+
+    L_0 holds the singletons that some letter maps at least two states
+    onto, or the full set itself when there is only one state.  Each next
+    layer takes all one-letter preimages of the previous layer and
+    discards the visited ones: singletons, sets contained in a member of
+    any earlier layer, and proper subsets of another candidate in the
+    same round.  Stops early once the full set appears or a layer
+    comes out empty.
+    """
+    layer_masks, found_at = _layer_search(dfa)
     layers = tuple(
-        tuple(StateSet.from_mask(s, n) for s in level) for level in layer_masks
+        tuple(StateSet.from_mask(s, dfa.n) for s in level) for level in layer_masks
     )
     return LayerTrace(layers=layers, found_at=found_at)
 
@@ -150,11 +155,11 @@ def checked_reset_word(dfa: Dfa) -> Optional[Word]:
     in one of them.
     """
     word = shortest_reset_word(dfa)
-    trace = inverse_layers(dfa)
+    _, found_at = _layer_search(dfa)
     forward = None if word is None else len(word)
-    if forward != trace.found_at:
+    if forward != found_at:
         raise ConsistencyError(
-            f"forward search found {forward}, layer search found {trace.found_at}"
+            f"forward search found {forward}, layer search found {found_at}"
         )
     return word
 

@@ -1,5 +1,7 @@
+import errno
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -139,6 +141,36 @@ def test_bad_cap_leaves_an_existing_report_alone(tmp_path, capsys):
     assert main(["verify-paper", "--max-m", "3", "--json", str(report)]) == 2
     assert report.read_text() == "[]\n"
     assert "max_m >= 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("interrupted", [True, False], ids=["interrupted", "complete"])
+def test_report_is_replaced_only_when_complete(tmp_path, monkeypatch, interrupted):
+    import synchromata.cli as cli_mod
+
+    report = tmp_path / "r.json"
+    report.write_text("[]\n")
+    if interrupted:
+        def stopped(max_m, max_n):
+            assert [p.name for p in tmp_path.iterdir()] != ["r.json"]  # opened first
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli_mod, "run_all", stopped)
+    code = main(["verify-paper", "--max-m", "5", "--max-n", "4", "--json", str(report)])
+    if interrupted:
+        assert code == 130
+        assert report.read_bytes() == b"[]\n"
+    else:
+        assert code == 0
+        assert len(json.loads(report.read_text())) > 1
+    assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+
+
+def test_a_directory_as_report_path_fails_before_any_claim(tmp_path, capsys):
+    assert main(["verify-paper", "--json", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{tmp_path}'\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.fixture
@@ -316,3 +348,78 @@ def test_package_runs_as_a_module(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert from_json(done.stdout) == cerny(4)
+
+
+# one valid call per subcommand, on {c3}: cerny(3)
+SUBCOMMANDS = {
+    "gen": ["--family", "cerny", "--size", "3"],
+    "analyze": ["{c3}"],
+    "extend": ["{c3}", "--set", "1,2"],
+    "profile": ["{c3}"],
+    "avoid": ["{c3}", "--state", "1"],
+    "images": ["{c3}", "--list"],
+    "conjecture": ["{c3}"],
+    "layers": ["{c3}", "--trace"],
+    "verify-paper": ["--max-m", "5", "--max-n", "4"],
+}
+
+
+def test_every_subcommand_dispatches_by_name(c3_path, monkeypatch):
+    import synchromata.cli as cli_mod
+
+    usage = cli_mod.build_parser().format_usage()
+    assert re.search(r"\{([^}]*)\}", usage).group(1).split(",") == list(SUBCOMMANDS)
+    assert {name for name in vars(cli_mod) if name.startswith("cmd_")} \
+        == {"cmd_" + name.replace("-", "_") for name in SUBCOMMANDS}
+    for name, rest in SUBCOMMANDS.items():
+        seen = []
+        monkeypatch.setattr(cli_mod, "cmd_" + name.replace("-", "_"),
+                            lambda args: seen.append(args.command) or 7)
+        assert main([name, *(a.format(c3=c3_path) for a in rest)]) == 7
+        assert seen == [name]
+
+
+def test_parser_is_built_once_and_outlives_a_usage_error(c3_path, capsys):
+    import synchromata.cli as cli_mod
+
+    assert main(["analyze"]) == 2
+    assert "required: automaton" in capsys.readouterr().err
+    assert main(["analyze", c3_path]) == 0
+    assert "reset length: 4" in capsys.readouterr().out
+    assert cli_mod.build_parser() is cli_mod.build_parser()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify-paper", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    assert main(argv) == 0
+    first = capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr() == first
+    assert first.out.startswith("usage: synchromata") and first.err == ""
+
+
+def test_calls_in_one_process_print_what_a_fresh_process_prints(c3_path, monkeypatch,
+                                                                capsys):
+    """Each subcommand, run after every other in one process, prints what
+    it prints as the only command of a new process, which parses once."""
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [["--help"], ["analyze"]] + [
+        [name, *(a.format(c3=c3_path) for a in rest)] for name, rest in SUBCOMMANDS.items()]
+    here = []
+    for argv in calls:
+        here.append((main(argv), *capsys.readouterr()))
+    src = Path(synchromata.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    script = ("import json, sys, contextlib, io\n"
+              "import synchromata.cli as cli\n"
+              "assert cli.build_parser.cache_info().currsize == 0\n"  # none at import
+              "out, err = io.StringIO(), io.StringIO()\n"
+              "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+              "    code = cli.main(json.loads(sys.argv[1]))\n"
+              "print(json.dumps([code, out.getvalue(), err.getvalue()]))\n")
+    for argv, mine in zip(calls, here):
+        done = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert tuple(json.loads(done.stdout)) == mine, argv

@@ -205,9 +205,10 @@ def test_checked_reset_word_runs_each_search_once(monkeypatch):
 
     counted("shortest_reset_word")
     counted("inverse_layers")
+    counted("_layer_search")
     word = checked_reset_word(cerny(5))
     assert len(word) == 16
-    assert calls == ["shortest_reset_word", "inverse_layers"]
+    assert calls == ["shortest_reset_word", "_layer_search"]
 
 
 def test_disagreement_raises_consistency_error(monkeypatch):
