@@ -41,10 +41,6 @@ class ConsistencyError(RuntimeError):
     """
 
 
-def letter_name(a: int) -> str:
-    return LETTER_NAMES[a]
-
-
 class Word:
     """An immutable sequence of letter indices.  The empty word is allowed."""
 
@@ -200,23 +196,23 @@ class Dfa:
             raise ValueError(f"need at least one letter, got k={k}")
         if len(rows) != k:
             raise ValueError(f"expected {k} transition rows, got {len(rows)}")
-        delta = []
-        for a, row in enumerate(rows):
-            if len(row) != n:
-                raise ValueError(
-                    f"letter {letter_name(a)}: expected {n} entries, got {len(row)}"
-                )
-            for i, t in enumerate(row):
-                if not 1 <= t <= n:
-                    raise ValueError(
-                        f"letter {letter_name(a)}, state q{i + 1}: "
-                        f"target {t} out of range 1..{n}"
-                    )
-            delta.append(tuple(t - 1 for t in row))
         if letters is None:
             letters = LETTER_NAMES[:k]
         if len(letters) != k or len(set(letters)) != k:
             raise ValueError(f"need {k} distinct letter names, got {letters!r}")
+        delta = []
+        for a, row in enumerate(rows):
+            if len(row) != n:
+                raise ValueError(
+                    f"letter {letters[a]}: expected {n} entries, got {len(row)}"
+                )
+            for i, t in enumerate(row):
+                if not 1 <= t <= n:
+                    raise ValueError(
+                        f"letter {letters[a]}, state q{i + 1}: "
+                        f"target {t} out of range 1..{n}"
+                    )
+            delta.append(tuple(t - 1 for t in row))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "delta", tuple(delta))

@@ -18,12 +18,13 @@ queries every subset, the image-extension bound the reachable images.
 One backward breadth-first search per size c covers the whole lattice,
 starting from the up-closure of the larger queries.  Every family of
 subsets is one int with a bit per mask, so a level is a few masked
-shifts per letter (:func:`_pull_program`); memory is three 2^n-bit
-masks per program step, a few 2^n-bit families and the 2^n query
-bytes.  The kernel is pure Python: importing numpy alone raises
-resident memory from about 16 to 28 MB.  Both reports refuse more than
-:data:`PROFILE_BOUND` states before any search; the kernel's time and
-memory grow two- to threefold with each state beyond that.
+shifts per letter (:func:`_pull_program`), and the queries and each
+size class of subsets are families too; memory is three 2^n-bit masks
+per program step and a few dozen 2^n-bit families.  The kernel is pure
+Python: importing numpy alone raises resident memory from about 16 to
+28 MB.  Both reports refuse more than :data:`PROFILE_BOUND` states
+before any search; the kernel's time and memory grow two- to threefold
+with each state beyond that.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from operator import itemgetter
 from typing import Optional, Sequence
 
 from .automaton import (
-    MAX_STATES,
     ConsistencyError,
     Dfa,
     StateSet,
@@ -52,10 +52,8 @@ from .automaton import (
 #: up to the mask width.
 PROFILE_BOUND = 20
 
-# _IS[c] translates a byte v to the digit 1 if v == c and to 0 otherwise
-_IS = [bytes(48 + (v == c) for v in range(256)) for c in range(MAX_STATES + 1)]
-# _INC translates a byte v to v + 1
-_INC = bytes(range(1, 256)) + b"\0"
+# translates the bytes 0 and 1 to the digits '0' and '1'
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def shortest_extending_word(dfa: Dfa, s: StateSet) -> Optional[Word]:
@@ -131,18 +129,17 @@ def _pull_program(inv: Sequence[int], lows: list[int]) -> list[tuple[int, int, i
     return program
 
 
-def _worst_distances(dfa: Dfa, queries: bytes) -> list[tuple[Optional[int], int]]:
+def _worst_distances(dfa: Dfa, queries: int) -> list[tuple[Optional[int], int]]:
     """Worst growth distance for each size of query set.
 
-    ``queries[S]`` is |S| for each query set S and 0 for every other
-    subset.  The distance of a query S of size c is the length of a
-    shortest word w such that S·w⁻¹ contains a query larger than c.
-    Each family of subsets is one int with a bit per mask.  For each c
-    that has queries, distance 0 is the up-closure of the larger
-    queries, and each further level is the sets T not seen yet with
-    T·a⁻¹ in the last level for some letter a, one pull program per
-    letter.  The search stops once every query of size c is reached or
-    a level is empty.
+    ``queries`` is the family of query sets, one bit per mask, like every
+    family of subsets here.  The distance of a query S of size c is the
+    length of a shortest word w such that S·w⁻¹ contains a query larger
+    than c.  For each c that has queries, distance 0 is the up-closure
+    of the larger queries, and each further level is the sets T not
+    seen yet with T·a⁻¹ in the last level for some letter a, one pull
+    program per letter.  The search stops once every query of size c is
+    reached or a level is empty.
 
     Returns one (distance, mask) pair per size c that has queries, in
     increasing c: the largest distance in that group and the first query
@@ -150,21 +147,19 @@ def _worst_distances(dfa: Dfa, queries: bytes) -> list[tuple[Optional[int], int]
     never grows.
     """
     n = dfa.n
-    # lows[q]: bit T set for each mask T without state q, its first period
-    # of 2^(q+1) bits doubled up to 2^n bits
-    lows = []
+    # lows[q]: the masks without state q; sizes[c]: the masks of size c.
+    # Adding state q doubles the lattice: its new masks are the old ones
+    # shifted up by 2^q, each with q added.
+    lows, sizes = [], [1]
     for q in range(n):
-        low, width = (1 << (1 << q)) - 1, 2 << q
-        while width < 1 << n:
-            low |= low << width
-            width <<= 1
-        lows.append(low)
+        half = 1 << q
+        lows = [low | low << half for low in lows] + [(1 << half) - 1]
+        sizes = [x | y << half for x, y in zip(sizes + [0], [0] + sizes)]
     programs = [_pull_program(inv, lows) for inv in dfa.inverse]
     out: list[tuple[Optional[int], int]] = []
-    digits = queries[::-1]  # most significant first: bit S of int(digits, 2) is byte S
     up = 0  # the queries larger than c
     for c in range(n, 0, -1):  # c = n only adds the full set to up
-        sized = left = int(digits.translate(_IS[c]), 2)  # the queries of size c
+        sized = left = queries & sizes[c]
         if left and c < n:
             for q, low in enumerate(lows):  # distance 0: close up upwards
                 up |= (up & low) << (1 << q)
@@ -208,10 +203,7 @@ def extension_profile(dfa: Dfa) -> ExtensionReport:
         )
     if n < 2:
         raise ValueError("a single-state automaton has no proper subsets to extend")
-    sizes = b"\0"  # sizes[S] = |S|, doubled once per state
-    for _ in range(n):
-        sizes += sizes.translate(_INC)
-    worst = _worst_distances(dfa, sizes)
+    worst = _worst_distances(dfa, (1 << (1 << n)) - 1)
     per_card = tuple(length for length, _ in worst)
     stuck = next((s for length, s in worst if length is None), None)
     if stuck is not None:
@@ -231,10 +223,9 @@ def extension_profile(dfa: Dfa) -> ExtensionReport:
     )
 
 
-def _reachable_masks(dfa: Dfa) -> list[int]:
-    """Every image of the full set, in mask order: what one search reaches."""
-    _, links = _shortest_word(dfa, True, dfa.full_mask, lambda level: None)
-    return list(compress(range(1 << dfa.n), links))
+def _image_links(dfa: Dfa) -> Sequence[int]:
+    """Links of one image search from the full set: non-zero at each image."""
+    return _shortest_word(dfa, True, dfa.full_mask, lambda level: None)[1]
 
 
 def reachable_images(dfa: Dfa) -> tuple[StateSet, ...]:
@@ -243,7 +234,8 @@ def reachable_images(dfa: Dfa) -> tuple[StateSet, ...]:
     Includes the full set itself (empty word).  Sorted by decreasing
     size, then by mask, so the full set comes first.
     """
-    masks = sorted(_reachable_masks(dfa), key=lambda m: (-m.bit_count(), m))
+    masks = sorted(compress(range(1 << dfa.n), _image_links(dfa)),
+                   key=lambda m: (-m.bit_count(), m))
     return tuple(StateSet.from_mask(m, dfa.n) for m in masks)
 
 
@@ -282,10 +274,9 @@ def image_extension_bound(dfa: Dfa) -> ImageExtensionReport:
         raise ValueError("a single-state automaton has no proper images to extend")
     if not is_synchronizing(dfa):
         raise ValueError("image-extension bound needs a synchronizing automaton")
-    reach = _reachable_masks(dfa)
-    queries = bytearray(1 << n)
-    for s in reach:
-        queries[s] = s.bit_count()
+    # one bit per reached mask, most significant digit first
+    flags = bytes(map(bool, _image_links(dfa)))[::-1]
+    queries = int(flags.translate(_DIGITS), 2)
     worst = _worst_distances(dfa, queries)
     stuck = next((s for length, s in worst if length is None), None)
     if stuck is not None:
@@ -295,7 +286,7 @@ def image_extension_bound(dfa: Dfa) -> ImageExtensionReport:
         )
     worst_len, worst_mask = max(worst, key=itemgetter(0))
     return ImageExtensionReport(
-        reachable_image_count=len(reach),
+        reachable_image_count=queries.bit_count(),
         worst_set=StateSet.from_mask(worst_mask, n),
         worst_length=worst_len,
         constant_witness=Fraction(worst_len, n),

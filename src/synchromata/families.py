@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automaton import Dfa, StateSet, Word, preimage_word
+from .automaton import MAX_STATES, Dfa, StateSet, Word, preimage_word
 
 A, B, C = 0, 1, 2
 
@@ -43,10 +43,13 @@ def _drop(m: int) -> dict[int, int]:
 
 
 def _check_param(name: str, param: int) -> None:
-    """Refuse a parameter below the minimum that FAMILIES lists for name."""
+    """Refuse a parameter below the minimum that FAMILIES lists for name,
+    or above MAX_STATES: no family has fewer states than its parameter."""
     _, low, meaning = FAMILIES[name]
-    if param < low:
-        raise ValueError(f"family {name!r} needs parameter >= {low} ({meaning}), got {param}")
+    if not low <= param <= MAX_STATES:
+        raise ValueError(
+            f"family {name!r} needs {low} <= parameter <= {MAX_STATES} ({meaning}), got {param}"
+        )
 
 
 def a_odd(m: int) -> Dfa:

@@ -240,6 +240,15 @@ def _disagree(monkeypatch):
     )
 
 
+def _no_letters(monkeypatch):
+    import synchromata.families as families
+
+    def boom(*args):
+        raise AssertionError("a letter was built")
+
+    monkeypatch.setattr(families, "_cycle", boom)
+
+
 def _failing_claim(monkeypatch):
     import synchromata.cli as cli_mod
 
@@ -260,6 +269,7 @@ def test_verify_paper_reports_failures(monkeypatch, capsys):
 
 
 # {c3}: cerny(3); {big}: cerny(21); {broken}: malformed JSON;
+# {wide}: 30 letters, the last row one entry short;
 # {missing}: no such file; {nodir}: a path in a directory that does not exist.
 # A row's optional fourth entry is a text the run must print.
 EXIT_CODES = [
@@ -270,10 +280,12 @@ EXIT_CODES = [
     (["gen", "--family", "cerny", "--size", "4", "-o", "{nodir}"], None, 2),
     (["gen", "--family", "cerny", "--size", "1"], None, 2),
     (["gen", "--family", "b-series", "--size", "2"], None, 2, "parameter"),
+    (["gen", "--family", "cerny", "--size", "1000000000"], _no_letters, 2, "parameter <= 24"),
     (["analyze", "{c3}"], None, 0),
     (["analyze", "{missing}"], None, 2),
     (["analyze", "{broken}"], None, 2),
     (["analyze", "{deep}"], None, 2, "nested too deeply"),
+    (["analyze", "{wide}"], None, 2, "expected 2 entries, got 1"),
     (["analyze", "{c3}", "--limit", "5"], None, 2),
     (["analyze", "{c3}"], _disagree, 1, "forward search found 5, layer search found 4"),
     (["extend", "{c3}", "--set", "1,2"], None, 0),
@@ -319,7 +331,10 @@ def test_exit_code_table(tmp_path, monkeypatch, capsys, argv, patch, code, messa
     broken.write_text("{broken")
     deep = tmp_path / "deep.json"
     deep.write_text('{"n": ' + "[" * 100_000 + "]" * 100_000 + "}")
-    paths = {"c3": c3, "big": big, "broken": broken, "deep": deep,
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"n": 2, "alphabet": [chr(0x100 + i) for i in range(30)],
+                                "delta": [[1, 2]] * 29 + [[1]]}))
+    paths = {"c3": c3, "big": big, "broken": broken, "deep": deep, "wide": wide,
              "missing": tmp_path / "nope.json",
              "nodir": tmp_path / "nodir" / "out.json"}
     if patch:

@@ -214,7 +214,7 @@ def test_profile_bound_is_enforced(monkeypatch):
 
     # the refusal comes before any search or table build
     monkeypatch.setattr(ext, "_worst_distances", boom)
-    monkeypatch.setattr(ext, "_reachable_masks", boom)
+    monkeypatch.setattr(ext, "_image_links", boom)
     monkeypatch.setattr(ext, "is_synchronizing", boom)
     for report in (extension_profile, image_extension_bound):
         with pytest.raises(ValueError, match=r"bound \(20 states\)"):

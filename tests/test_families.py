@@ -6,6 +6,7 @@ import pytest
 
 from synchromata import (
     FAMILIES,
+    MAX_STATES,
     FamilySpec,
     StateSet,
     a_even,
@@ -66,7 +67,15 @@ def test_m_series_c_row():
     assert m_prime_series(4).rows()[2] == [1, 2, 3, 1]
 
 
-def test_parameter_validation():
+def test_parameter_validation(monkeypatch):
+    import synchromata.families as families
+
+    def boom(*args):
+        raise AssertionError("a letter was built")
+
+    # every refusal comes before any letter is built
+    monkeypatch.setattr(families, "_cycle", boom)
+    monkeypatch.setattr(families, "_letter", boom)
     for builder in (a_odd, a_even, conservative):
         with pytest.raises(ValueError):
             builder(2)
@@ -77,10 +86,13 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         cerny(1)
     for name, (builder, low, _) in FAMILIES.items():
-        with pytest.raises(ValueError, match=f"{name}.*parameter >= {low}"):
+        with pytest.raises(ValueError, match=f"{name}.*{low} <= parameter"):
             builder(low - 1)
+        for param in (MAX_STATES + 1, 10**9):
+            with pytest.raises(ValueError, match=f"{name}.*parameter <= {MAX_STATES}"):
+                builder(param)
     for word in (a_odd_sync_word, m_series_sync_word, m_prime_series_sync_word):
-        with pytest.raises(ValueError, match="parameter >= 3"):
+        with pytest.raises(ValueError, match="3 <= parameter"):
             word(2)
 
 
