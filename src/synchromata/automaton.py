@@ -19,8 +19,9 @@ state's successor (image step) or preimage (preimage step), and
 automaton and letter, a pair of them, one per half of the mask, is built
 once; the searches, the single steps :func:`image_mask` and
 :func:`preimage_mask`, the closures behind :func:`is_strongly_connected`
-and the merge-set fixpoint behind :func:`is_synchronizing` all look steps
-up in those pairs.
+and the merge-set fixpoint behind :func:`is_synchronizing` (run on any
+subset of the letters for irreducibility) all look steps up in those
+pairs.
 """
 
 from __future__ import annotations
@@ -498,31 +499,39 @@ def is_strongly_connected(dfa: Dfa) -> bool:
 
 
 def is_synchronizing(dfa: Dfa) -> bool:
-    """True iff some word maps every state to one state.
+    """True iff some word maps every state to one state."""
+    return _synchronizes(dfa, range(dfa.k))
 
-    That holds iff some word merges each pair of states.  ``merge[p]``
-    grows from {p} to the states that some word sends to the same state
-    as p: a visit to p adds merge[p·a]·a⁻¹ for every letter a, and when
-    merge[p] grows, the predecessors of p are due for another visit.
-    Each set grows at most n - 1 times, and the predecessor lists of all
-    states have k·n entries together, so there are at most
-    n + k·n·(n - 1) visits of k preimage lookups, however the states
-    are numbered.
+
+def _synchronizes(dfa: Dfa, letters: Sequence[int]) -> bool:
+    """True iff some word over the given letter indices synchronizes dfa.
+
+    That holds iff some such word merges each pair of states.
+    ``merge[p]`` grows from {p} to the states that some word sends to
+    the same state as p: a visit to p adds merge[p·a]·a⁻¹ for every
+    letter a, and when merge[p] grows, the predecessors of p are due for
+    another visit.  Each set grows at most n - 1 times, and the
+    predecessor lists of all states have k·n entries together, so there
+    are at most n + k·n·(n - 1) visits of k preimage lookups, however
+    the states are numbered.  The lookups use the automaton's own
+    preimage tables, so a subset of its letters needs no new tables.
     """
     h, tables = _step_tables(dfa, False)
     low_bits = (1 << h) - 1
+    steps = [(*tables[a], dfa.delta[a]) for a in letters]
+    inverse = [dfa.inverse[a] for a in letters]
     merge = [1 << p for p in range(dfa.n)]
     due = dfa.full_mask
     while due:
         p = due.bit_length() - 1
         due ^= 1 << p
         grown = merge[p]
-        for (lo, hi), row in zip(tables, dfa.delta):
+        for lo, hi, row in steps:
             m = merge[row[p]]
             grown |= lo[m & low_bits] | hi[m >> h]
         if grown != merge[p]:
             merge[p] = grown
-            for inv in dfa.inverse:
+            for inv in inverse:
                 due |= inv[p]
     return all(m == dfa.full_mask for m in merge)
 

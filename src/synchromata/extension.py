@@ -42,8 +42,8 @@ from .automaton import (
     Word,
     _check_set,
     _shortest_word,
+    _synchronizes,
     is_synchronizing,
-    remove_letter,
 )
 
 #: Largest n for which whole-lattice reports (profile, image-extension
@@ -314,12 +314,14 @@ def is_irreducibly_synchronizing(dfa: Dfa) -> bool:
 
     Raises if the input does not synchronize in the first place.  A
     synchronizing automaton over a single letter counts as irreducible,
-    since no letter can be spared.
+    since no letter can be spared.  Leaving a letter out builds no
+    automaton: the other letters' step tables are used as they are.
     """
     if not is_synchronizing(dfa):
         raise ValueError("irreducibility is defined for synchronizing automata")
     if dfa.k == 1:
         return True
-    return all(
-        not is_synchronizing(remove_letter(dfa, a)) for a in range(dfa.k)
+    return not any(
+        _synchronizes(dfa, [b for b in range(dfa.k) if b != a])
+        for a in range(dfa.k)
     )

@@ -4,19 +4,22 @@ The forward method searches the image subsets of the full state set.
 The inverse method grows the layer families L_0, L_1, ... of maximal
 subsets reachable from mergeable singletons by repeated one-letter
 preimages; the first layer containing the full set gives the reset
-length.  Both run in O(2^n k) at worst and must always agree;
-:func:`checked_reset_word` runs each of them once and compares them.
-Neither takes a cap: the forward search meets at most 2^n images, and
-each set the layer search keeps after L_0 is a non-singleton that no
-earlier kept set covers, so no set is kept twice and the layers reach
-the full set or die out within 2^n layers.
+length.  The two must always agree; :func:`checked_reset_word` runs each
+of them once and compares them.  Neither takes a cap: the forward search
+meets at most 2^n images, and each set the layer search keeps after L_0
+is a non-singleton that no earlier kept set covers, so no set is kept
+twice and the layers reach the full set or die out within 2^n layers.
 
 The forward method is the shared search kernel of the automaton module
-with a singleton as its goal.  Both methods step with the automaton's
-split tables, two lookups per image or preimage of a subset instead of
-a loop over its states.  The layer search finds a candidate's supersets
-among the kept sets by ANDing, over its states, one bitset per state of
-the kept sets that contain that state.
+with a singleton as its goal, O(2^n k) steps at worst.  Both methods step
+with the automaton's split tables, two lookups per image or preimage of a
+subset instead of a loop over its states.  The layer search finds a
+candidate's supersets among the sets it has recorded by ANDing, over the
+candidate's states, one bitset per state of the recorded sets that
+contain it; each round's bitsets are built in one pass over the states
+of its fresh sets.  So it takes k steps per kept set, but its cover
+tests cost up to (recorded sets × candidates × n) bit operations, which
+dominate where the layers are wide.
 """
 
 from __future__ import annotations
@@ -75,11 +78,16 @@ def _covering(member: list[int], mask: int) -> int:
     return acc
 
 
-def _add_members(member: list[int], masks: list[int], base: int) -> None:
-    """Record masks[i] as set number base + i in the per-state bitsets."""
-    for q in range(len(member)):
-        bit = 1 << q
-        member[q] |= sum(1 << i for i, s in enumerate(masks) if s & bit) << base
+def _members(masks: list[int], n: int) -> list[int]:
+    """Per-state bitsets: bit i of the entry for q is set iff q is in masks[i]."""
+    member = [0] * n
+    for i, s in enumerate(masks):
+        bit = 1 << i
+        while s:
+            low = s & -s
+            member[low.bit_length() - 1] |= bit
+            s ^= low
+    return member
 
 
 def _layer_search(dfa: Dfa) -> tuple[list[list[int]], Optional[int]]:
@@ -95,10 +103,12 @@ def _layer_search(dfa: Dfa) -> tuple[list[list[int]], Optional[int]]:
         if n == 1 or any(dfa.inverse[a][q].bit_count() >= 2 for a in range(dfa.k))
     ]
     layer_masks: list[list[int]] = [level0]
-    # member[q]: bitset of the indices of kept sets (all layers so far) holding q
-    member = [0] * n
-    _add_members(member, level0, 0)
-    kept_count = len(level0)
+    # member[q]: bitset of the indices of the recorded sets holding q: the
+    # kept sets of all layers so far, and the fresh sets left out of their
+    # layer, which lie inside a kept set of their round and so cover nothing
+    # that set does not.
+    member = _members(level0, n)
+    recorded = len(level0)
     found_at = 0 if full in level0 else None
 
     i = 0
@@ -114,16 +124,16 @@ def _layer_search(dfa: Dfa) -> tuple[list[list[int]], Optional[int]]:
             if s & (s - 1) and not _covering(member, s)
         ]
         # A candidate inside a covered candidate is covered too, so the
-        # same-round superset test only needs the fresh ones.
-        round_member = [0] * n
-        _add_members(round_member, fresh, 0)
+        # same-round superset test only needs the fresh ones.  They are in
+        # increasing mask order, so a proper superset of fresh[j] comes later.
+        round_member = _members(fresh, n)
         level = [
             s for j, s in enumerate(fresh)
-            if not _covering(round_member, s) & ~(1 << j)
+            if not _covering(round_member, s) >> j + 1
         ]
         layer_masks.append(level)
-        _add_members(member, level, kept_count)
-        kept_count += len(level)
+        member = [m | r << recorded for m, r in zip(member, round_member)]
+        recorded += len(fresh)
         if full in level:
             found_at = i
     return layer_masks, found_at

@@ -42,14 +42,7 @@ from helpers import (
     o_strongly_connected,
     random_dfa,
 )
-
-
-@st.composite
-def transition_rows(draw, max_n):
-    n = draw(st.integers(1, max_n))
-    k = draw(st.integers(1, 3))
-    row = st.lists(st.integers(1, n), min_size=n, max_size=n)
-    return draw(st.lists(row, min_size=k, max_size=k))
+from strategies import transition_rows
 
 
 # ---------------------------------------------------------------------

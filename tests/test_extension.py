@@ -26,6 +26,7 @@ from synchromata import (
     shortest_extending_word,
 )
 
+import synchromata.automaton as automaton_mod
 from synchromata.automaton import _union_table
 from synchromata.extension import _pull_program
 from synchromata.replication import greedy_length_formula
@@ -40,6 +41,7 @@ from helpers import (
     o_reset_length,
     random_dfa,
 )
+from strategies import transition_rows
 
 
 # ---------------------------------------------------------------------
@@ -345,6 +347,30 @@ def test_irreducibility_needs_synchronizing_input():
     spinner = Dfa(3, 1, [[2, 3, 1]])
     with pytest.raises(ValueError):
         is_irreducibly_synchronizing(spinner)
+
+
+@settings(max_examples=300, deadline=None)
+@given(transition_rows(8))
+@example([[1]])                               # n = 1, k = 1: nothing to drop
+@example([[2, 3, 1], [1, 1, 3]])              # both letters needed
+@example([[2, 3, 1], [2, 2, 3], [2, 2, 3]])   # a duplicate letter: reducible
+def test_irreducibility_matches_dropped_letter_oracle(rows):
+    dfa = Dfa(len(rows[0]), len(rows), rows)
+    if o_reset_length(rows) is None:
+        with pytest.raises(ValueError):
+            is_irreducibly_synchronizing(dfa)
+        return
+    dropped = [rows[:a] + rows[a + 1:] for a in range(len(rows))]
+    want = len(rows) == 1 or all(o_reset_length(r) is None for r in dropped)
+    assert is_irreducibly_synchronizing(dfa) == want
+    # the preimage tables are built now, so leaving letters out builds none
+    build = automaton_mod._split_tables
+    built = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(automaton_mod, "_split_tables",
+                   lambda *args: built.append(args) or build(*args))
+        assert is_irreducibly_synchronizing(dfa) == want
+    assert built == []
 
 
 def test_three_state_ternary_members_are_reducible():

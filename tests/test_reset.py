@@ -2,7 +2,6 @@ import random
 
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import synchromata.reset as reset_mod
 from synchromata import (
@@ -24,6 +23,7 @@ from synchromata import (
 )
 
 from helpers import o_image, o_preimage, o_reset_length, random_dfa
+from strategies import transition_rows
 
 
 def test_known_reset_lengths():
@@ -227,14 +227,6 @@ def test_disagreement_raises_consistency_error(monkeypatch):
 # property tests of the split-table kernels against plain-set references
 # ---------------------------------------------------------------------
 
-@st.composite
-def transition_rows(draw):
-    n = draw(st.integers(1, 9))
-    k = draw(st.integers(1, 3))
-    row = st.lists(st.integers(1, n), min_size=n, max_size=n)
-    return draw(st.lists(row, min_size=k, max_size=k))
-
-
 def naive_layers(rows):
     """Layer families by the plain antichain rule over frozensets.
 
@@ -268,7 +260,7 @@ KERNEL_SETTINGS = settings(max_examples=300, deadline=None)
 
 
 @KERNEL_SETTINGS
-@given(transition_rows())
+@given(transition_rows(9))
 @example([[1]])                 # n = 1: the high half is empty
 @example([[2, 2], [1, 2]])      # n = 2: the high half is one bit
 @example([[2, 3, 1]])           # a permutation never resets
@@ -284,10 +276,11 @@ def test_forward_search_matches_oracle(rows):
 
 
 @KERNEL_SETTINGS
-@given(transition_rows())
+@given(transition_rows(9))
 @example([[1]])
 @example([[2, 2], [1, 2]])
 @example([[2, 1, 1], [1, 3, 2]])
+@example([[3, 1, 2, 4], [2, 4, 2, 1]])  # {q2, q4} and {q1, q2, q4} fresh in one round
 def test_layers_match_naive_reference(rows):
     dfa = Dfa(len(rows[0]), len(rows), rows)
     trace = inverse_layers(dfa)
