@@ -19,7 +19,6 @@ from .automaton import (
     preimage,
     preimage_word,
     rank,
-    remove_letter,
     shortest_compressing_word,
 )
 from .extension import (
@@ -107,7 +106,6 @@ __all__ = [
     "preimage_word",
     "rank",
     "reachable_images",
-    "remove_letter",
     "reset_length",
     "run_all",
     "shortest_avoiding_word",

@@ -535,14 +535,3 @@ def _synchronizes(dfa: Dfa, letters: Sequence[int]) -> bool:
                 due |= inv[p]
     return all(m == dfa.full_mask for m in merge)
 
-
-def remove_letter(dfa: Dfa, a: Union[int, str]) -> Dfa:
-    """The same automaton without letter a; remaining letters keep their order."""
-    idx = _check_letter(dfa, a)
-    if dfa.k == 1:
-        raise ValueError("cannot remove the only letter")
-    rows = [
-        [t + 1 for t in dfa.delta[b]] for b in range(dfa.k) if b != idx
-    ]
-    names = dfa.letters[:idx] + dfa.letters[idx + 1:]
-    return Dfa(dfa.n, dfa.k - 1, rows, names)

@@ -37,9 +37,9 @@ from .automaton import (
     is_synchronizing,
 )
 from .extension import (
+    _irreducible,
     extension_profile,
     image_extension_bound,
-    is_irreducibly_synchronizing,
     reachable_images,
     shortest_avoiding_word,
     shortest_extending_word,
@@ -84,7 +84,7 @@ def cmd_analyze(args) -> int:
         word = checked_reset_word(dfa)
         print(f"reset length: {len(word)}")
         print(f"shortest reset word: {dfa.word_str(word)}")
-        irr = is_irreducibly_synchronizing(dfa)
+        irr = _irreducible(dfa)
         print(f"irreducibly synchronizing: {'yes' if irr else 'no'}")
     return 0
 

@@ -319,6 +319,11 @@ def is_irreducibly_synchronizing(dfa: Dfa) -> bool:
     """
     if not is_synchronizing(dfa):
         raise ValueError("irreducibility is defined for synchronizing automata")
+    return _irreducible(dfa)
+
+
+def _irreducible(dfa: Dfa) -> bool:
+    """Irreducibility of an automaton already known to synchronize."""
     if dfa.k == 1:
         return True
     return not any(

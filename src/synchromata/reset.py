@@ -13,13 +13,14 @@ twice and the layers reach the full set or die out within 2^n layers.
 The forward method is the shared search kernel of the automaton module
 with a singleton as its goal, O(2^n k) steps at worst.  Both methods step
 with the automaton's split tables, two lookups per image or preimage of a
-subset instead of a loop over its states.  The layer search finds a
-candidate's supersets among the sets it has recorded by ANDing, over the
-candidate's states, one bitset per state of the recorded sets that
-contain it; each round's bitsets are built in one pass over the states
-of its fresh sets.  So it takes k steps per kept set, but its cover
-tests cost up to (recorded sets × candidates × n) bit operations, which
-dominate where the layers are wide.
+subset instead of a loop over its states.  The layer search keeps a
+candidate iff it is not a singleton and no kept set covers it.  Each
+round visits its candidates once, in decreasing mask order, so a proper
+superset is kept before the candidates inside it.  A cover test ANDs,
+over the candidate's states, one bitset per state of the kept sets that
+hold it; a kept set's bits are set once, when it is kept.  So the search
+takes k steps per kept set, but its cover tests cost up to (kept sets ×
+candidates × n) bit operations, which dominate where the layers are wide.
 """
 
 from __future__ import annotations
@@ -78,18 +79,6 @@ def _covering(member: list[int], mask: int) -> int:
     return acc
 
 
-def _members(masks: list[int], n: int) -> list[int]:
-    """Per-state bitsets: bit i of the entry for q is set iff q is in masks[i]."""
-    member = [0] * n
-    for i, s in enumerate(masks):
-        bit = 1 << i
-        while s:
-            low = s & -s
-            member[low.bit_length() - 1] |= bit
-            s ^= low
-    return member
-
-
 def _layer_search(dfa: Dfa) -> tuple[list[list[int]], Optional[int]]:
     """The layers of :func:`inverse_layers` as lists of masks, and ``found_at``."""
     n = dfa.n
@@ -103,12 +92,11 @@ def _layer_search(dfa: Dfa) -> tuple[list[list[int]], Optional[int]]:
         if n == 1 or any(dfa.inverse[a][q].bit_count() >= 2 for a in range(dfa.k))
     ]
     layer_masks: list[list[int]] = [level0]
-    # member[q]: bitset of the indices of the recorded sets holding q: the
-    # kept sets of all layers so far, and the fresh sets left out of their
-    # layer, which lie inside a kept set of their round and so cover nothing
-    # that set does not.
-    member = _members(level0, n)
-    recorded = len(level0)
+    # member[q]: bitset of the indices of the kept sets that hold q.
+    member = [0] * n
+    for i, s in enumerate(level0):
+        member[s.bit_length() - 1] = 1 << i
+    kept = len(level0)
     found_at = 0 if full in level0 else None
 
     i = 0
@@ -119,21 +107,23 @@ def _layer_search(dfa: Dfa) -> tuple[list[list[int]], Optional[int]]:
             for s in layer_masks[-1]
             for lo, hi in tables
         }
-        fresh = [
-            s for s in sorted(candidates)
-            if s & (s - 1) and not _covering(member, s)
-        ]
-        # A candidate inside a covered candidate is covered too, so the
-        # same-round superset test only needs the fresh ones.  They are in
-        # increasing mask order, so a proper superset of fresh[j] comes later.
-        round_member = _members(fresh, n)
-        level = [
-            s for j, s in enumerate(fresh)
-            if not _covering(round_member, s) >> j + 1
-        ]
+        # A proper superset has a larger mask, so in decreasing mask order
+        # it is visited, and kept, before the candidates inside it.
+        level: list[int] = []
+        round_member = [0] * n
+        for s in sorted(candidates, reverse=True):
+            if not s & (s - 1) or _covering(round_member, s) or _covering(member, s):
+                continue
+            bit = 1 << len(level)
+            level.append(s)
+            while s:
+                low = s & -s
+                round_member[low.bit_length() - 1] |= bit
+                s ^= low
+        level.reverse()
         layer_masks.append(level)
-        member = [m | r << recorded for m, r in zip(member, round_member)]
-        recorded += len(fresh)
+        member = [m | r << kept for m, r in zip(member, round_member)]
+        kept += len(level)
         if full in level:
             found_at = i
     return layer_masks, found_at
@@ -143,12 +133,15 @@ def inverse_layers(dfa: Dfa) -> LayerTrace:
     """Grow the layer families L_0, L_1, ... and report where Q first appears.
 
     L_0 holds the singletons that some letter maps at least two states
-    onto, or the full set itself when there is only one state.  Each next
-    layer takes all one-letter preimages of the previous layer and
-    discards the visited ones: singletons, sets contained in a member of
-    any earlier layer, and proper subsets of another candidate in the
-    same round.  Stops early once the full set appears or a layer
-    comes out empty.
+    onto, or the full set itself when there is only one state.  The
+    candidates for the next layer are the one-letter preimages of the
+    previous layer.  A candidate is kept iff it is not a singleton and no
+    kept set covers it: no member of an earlier layer, and no candidate
+    of the same round kept before it.  Candidates are visited in
+    decreasing mask order, so a superset is kept before the sets inside
+    it, and no layer holds a proper subset of another candidate of its
+    round.  Stops early once the full set appears or a layer comes out
+    empty.
     """
     layer_masks, found_at = _layer_search(dfa)
     layers = tuple(

@@ -23,13 +23,12 @@ from synchromata import (
     preimage_word,
     rank,
     reachable_images,
-    remove_letter,
     shortest_avoiding_word,
     shortest_compressing_word,
     shortest_extending_word,
     shortest_reset_word,
 )
-from synchromata.automaton import MAX_STATES, _step_tables
+from synchromata.automaton import MAX_STATES, _step_tables, _synchronizes
 from synchromata.io import from_json
 
 from helpers import (
@@ -405,7 +404,7 @@ def test_strongly_connected_matches_reachability_oracle(rows):
 
 def test_synchronizing_predicate():
     assert is_synchronizing(m_series(5))
-    assert not is_synchronizing(remove_letter(m_series(5), "a"))
+    assert not _synchronizes(m_series(5), [1, 2])  # without a
     assert is_synchronizing(Dfa(1, 1, [[1]]))
 
 
@@ -422,29 +421,17 @@ def test_synchronizing_iff_reset_word_exists(rows):
 
 
 # ---------------------------------------------------------------------
-# remove_letter
+# leaving a letter out
 # ---------------------------------------------------------------------
 
-def test_remove_letter_projects():
-    dfa = m_series(4)
-    smaller = remove_letter(dfa, "b")
-    assert smaller.k == 2 and smaller.letters == "ac"
-    assert smaller.rows() == [dfa.rows()[0], dfa.rows()[2]]
-
-
 def test_removing_swap_letter_isolates_q1():
-    # without c, no other state can reach q1 in the ternary series
-    dfa = remove_letter(m_series(5), "c")
-    into_q1 = 0
-    for a in range(dfa.k):
-        into_q1 |= dfa.inverse[a][0]
-    assert StateSet.from_mask(into_q1, 5) <= StateSet([1], 5)
+    # without c, no state maps into q1 in the ternary series
+    dfa = m_series(5)
+    assert dfa.letters[2] == "c"
+    assert dfa.inverse[0][0] | dfa.inverse[1][0] == 0
 
 
 def test_remove_letter_breaks_a_odd():
-    assert not is_synchronizing(remove_letter(a_odd(5), "a"))
-
-
-def test_remove_only_letter_fails():
-    with pytest.raises(ValueError):
-        remove_letter(Dfa(2, 1, [[2, 1]]), 0)
+    dfa = a_odd(5)
+    assert dfa.letters == "ab"
+    assert not _synchronizes(dfa, [1])

@@ -194,6 +194,28 @@ def test_analyze_runs_the_forward_search_once(c3_path, monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_analyze_runs_the_sync_fixpoint_once(tmp_path, monkeypatch, capsys):
+    import synchromata.automaton as automaton_mod
+    import synchromata.extension as extension_mod
+
+    path = tmp_path / "m5.json"
+    path.write_text(to_json(m_series(5)))
+    calls = []
+    original = automaton_mod._synchronizes
+
+    def counting(dfa, letters):
+        letters = list(letters)
+        if letters == list(range(dfa.k)):
+            calls.append(dfa)
+        return original(dfa, letters)
+
+    monkeypatch.setattr(automaton_mod, "_synchronizes", counting)
+    monkeypatch.setattr(extension_mod, "_synchronizes", counting)
+    assert main(["analyze", str(path)]) == 0
+    assert "irreducibly synchronizing: yes" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -254,18 +276,6 @@ def _failing_claim(monkeypatch):
 
     monkeypatch.setattr(cli_mod, "run_all", lambda max_m, max_n: [
         ClaimResult("demo", 3, 7, 5, "fail", None)])
-
-
-def test_disagreeing_searches_exit_one(c3_path, monkeypatch, capsys):
-    _disagree(monkeypatch)
-    assert main(["analyze", c3_path]) == 1
-    assert "forward search found 5, layer search found 4" in capsys.readouterr().err
-
-
-def test_verify_paper_reports_failures(monkeypatch, capsys):
-    _failing_claim(monkeypatch)
-    assert main(["verify-paper"]) == 1
-    assert "FAIL" in capsys.readouterr().out
 
 
 # {c3}: cerny(3); {big}: cerny(21); {broken}: malformed JSON;

@@ -281,6 +281,7 @@ def test_forward_search_matches_oracle(rows):
 @example([[2, 2], [1, 2]])
 @example([[2, 1, 1], [1, 3, 2]])
 @example([[3, 1, 2, 4], [2, 4, 2, 1]])  # {q2, q4} and {q1, q2, q4} fresh in one round
+@example([[2, 1, 2, 1, 3], [5, 3, 1, 2, 1]])  # round 3 nests {q1, q4} < {q1, q2, q4} < {q1..q4}
 def test_layers_match_naive_reference(rows):
     dfa = Dfa(len(rows[0]), len(rows), rows)
     trace = inverse_layers(dfa)
