@@ -15,10 +15,13 @@ Both whole-lattice reports run on one kernel, :func:`_worst_distances`.
 For each query set S of size c it finds the shortest word w such that
 S·w⁻¹ contains a query set larger than S.  The extension profile
 queries every subset, the image-extension bound the reachable images.
-One backward breadth-first search per size c covers the whole lattice,
-starting from the up-closure of the larger queries.  Every family of
-subsets is one int with a bit per mask, so a level is a few masked
-shifts per letter (:func:`_pull_program`), and the queries and each
+Every family of subsets is one int with a bit per mask, and one value
+iteration answers all sizes c at once: V_d(T) counts the sizes c, among
+those with queries still open, for which T·w⁻¹ contains a query larger
+than c for some word w of length at most d.  V is a few bit-planes, each
+a family, and an iteration pulls each plane through each letter by a
+few masked shifts (:func:`_pull_program`) and keeps the bit-sliced
+maximum; a query is reached when its value grows.  The queries and each
 size class of subsets are families too; memory is three 2^n-bit masks
 per program step and a few dozen 2^n-bit families.  The kernel is pure
 Python: importing numpy alone raises resident memory from about 16 to
@@ -48,7 +51,7 @@ from .automaton import (
 
 #: Largest n for which whole-lattice reports (profile, image-extension
 #: bound) are attempted; both refuse larger automata before any search.
-#: A profile at 20 states peaks near 35 MB.  Single-subset queries work
+#: A profile of cerny(20) peaks near 31 MB.  Single-subset queries work
 #: up to the mask width.
 PROFILE_BOUND = 20
 
@@ -129,19 +132,43 @@ def _pull_program(inv: Sequence[int], lows: list[int]) -> list[tuple[int, int, i
     return program
 
 
+def _above(planes: list[int], j: int, everything: int) -> int:
+    """The family [V > j] of a bit-sliced value V, most significant plane first.
+
+    ``everything`` is the all-ones family; ``x ^ (x & v)`` is x without v.
+    """
+    gt, eq = 0, everything
+    for b in range(len(planes) - 1, -1, -1):
+        v = planes[b]
+        if j >> b & 1:
+            eq &= v
+        else:
+            gt |= eq & v
+            eq ^= eq & v
+    return gt
+
+
 def _worst_distances(dfa: Dfa, queries: int) -> list[tuple[Optional[int], int]]:
     """Worst growth distance for each size of query set.
 
     ``queries`` is the family of query sets, one bit per mask, like every
     family of subsets here.  The distance of a query S of size c is the
     length of a shortest word w such that S·w⁻¹ contains a query larger
-    than c.  For each c that has queries, distance 0 is the up-closure
-    of the larger queries, and each further level is the sets T not
-    seen yet with T·a⁻¹ in the last level for some letter a, one pull
-    program per letter.  The search stops once every query of size c is
-    reached or a level is empty.
+    than c.  A size is open while some query of that size is not reached
+    and may still be.  One value iteration answers every size: V_d(T)
+    counts the open sizes c for which T·w⁻¹ contains a query larger than
+    c, for some word w with |w| <= d.  V is held in bit-planes, each a
+    family, as few as the open sizes need.  V_0 comes from the
+    up-closures of the larger queries, and V_d is the maximum of V_(d-1)
+    and each letter's pull of it, one pull program per letter and plane.
+    A query S of size c is reached at the first d where V_d(S) grows.
+    For the open size of index j, counting from 0 up, [V_d > j] grows
+    exactly like one backward search for that size would, so once an
+    iteration without hits leaves it unchanged it never grows again, and
+    the size closes with its queries unreached.  A size that closes
+    leaves the count.
 
-    Returns one (distance, mask) pair per size c that has queries, in
+    Returns one (distance, mask) pair per size c < n that has queries, in
     increasing c: the largest distance in that group and the first query
     in mask order that attains it, or None and the first query that
     never grows.
@@ -155,45 +182,75 @@ def _worst_distances(dfa: Dfa, queries: int) -> list[tuple[Optional[int], int]]:
         half = 1 << q
         lows = [low | low << half for low in lows] + [(1 << half) - 1]
         sizes = [x | y << half for x, y in zip(sizes + [0], [0] + sizes)]
+    # left[c]: the queries of size c not reached yet, for each open size c
+    left = {c: queries & sizes[c] for c in range(1, n) if queries & sizes[c]}
+    up = queries & sizes[n]
+    del sizes  # freed before the programs are built, lows after V_0: peak memory
     programs = [_pull_program(inv, lows) for inv in dfa.inverse]
-    out: list[tuple[Optional[int], int]] = []
-    up = 0  # the queries larger than c
-    for c in range(n, 0, -1):  # c = n only adds the full set to up
-        sized = left = queries & sizes[c]
-        if left and c < n:
-            for q, low in enumerate(lows):  # distance 0: close up upwards
-                up |= (up & low) << (1 << q)
-            seen = frontier = up
-            d = 0
-            while frontier and left:
-                d += 1
-                reached = 0
-                for program in programs:
-                    x = frontier
-                    for keep, rise, fall, s in program:
-                        x = x & keep | (x & rise) << s | (x & fall) >> s
-                    reached |= x
-                frontier = reached & ~seen
-                seen |= frontier
-                hits = frontier & left
-                if hits:
-                    left ^= hits
-                    # d never falls, so the last level with hits is the worst
-                    worst, witness = d, (hits & -hits).bit_length() - 1
-            out.append((None, (left & -left).bit_length() - 1) if left else (worst, witness))
-        up |= sized
-    return out[::-1]
+    count = len(left)
+    planes, above = [0] * count.bit_length(), 0
+    for c in reversed(left):
+        for q, low in enumerate(lows):  # up: the queries larger than c, closed upwards
+            up |= (up & low) << (1 << q)
+        for b, plane in enumerate(planes):  # V_0 = count on up but not above
+            if count >> b & 1:
+                planes[b] = plane | up ^ above
+        above, count, up = up, count - 1, up | left[c]
+    del lows, up, above
+    everything = (1 << (1 << n)) - 1
+    worst: dict[int, tuple[Optional[int], int]] = {}
+    d = 0
+    while left:
+        d += 1
+        new, grown = planes, 0
+        for program in programs:
+            pulled = []
+            for x in planes:
+                for keep, rise, fall, s in program:
+                    x = x & keep | (x & rise) << s | (x & fall) >> s
+                pulled.append(x)
+            # new = max(new, pulled): the pulled value is greater where it
+            # has a 1 at the most significant plane where the two differ
+            gt, eq = 0, everything
+            for v, p in zip(reversed(new), reversed(pulled)):
+                diff = v ^ p
+                gt |= eq & diff & p
+                eq ^= eq & diff
+            new = [v ^ (v ^ p) & gt for v, p in zip(new, pulled)]
+            grown |= gt
+        closed, hit = [], False
+        for j, (c, open_) in enumerate(left.items()):
+            hits = grown & open_
+            if hits:
+                hit = True
+                # d never falls, so the last iteration with hits is the worst
+                worst[c] = d, (hits & -hits).bit_length() - 1
+                left[c] = open_ ^ hits
+                if open_ == hits:
+                    closed.append((j, c))
+        if not hit:
+            for j, (c, open_) in enumerate(left.items()):
+                if _above(new, j, everything) == _above(planes, j, everything):
+                    worst[c] = None, (open_ & -open_).bit_length() - 1
+                    closed.append((j, c))
+        for j, c in reversed(closed):  # c leaves the count: V -= [V > j]
+            borrow = _above(new, j, everything)
+            for b, plane in enumerate(new):
+                new[b] = plane ^ borrow
+                borrow ^= borrow & plane
+            del left[c]
+        planes = new[:len(left).bit_length()]
+    return [worst[c] for c in sorted(worst)]
 
 
 def extension_profile(dfa: Dfa) -> ExtensionReport:
     """Exact extension profile of the whole automaton.
 
-    Every subset is a query of the lattice kernel, so one backward search
-    per cardinality answers all subsets of that size at once.  The
-    witness is the first worst subset in (cardinality, mask) order, or
-    the first subset that never extends.  Refuses automata above
-    :data:`PROFILE_BOUND` states; query single subsets with
-    :func:`shortest_extending_word` instead for those.
+    Every subset is a query of the lattice kernel, so one value iteration
+    answers all subsets at once.  The witness is the first worst subset
+    in (cardinality, mask) order, or the first subset that never extends.
+    Refuses automata above :data:`PROFILE_BOUND` states; query single
+    subsets with :func:`shortest_extending_word` instead for those.
     """
     n = dfa.n
     if n > PROFILE_BOUND:
@@ -234,8 +291,9 @@ def reachable_images(dfa: Dfa) -> tuple[StateSet, ...]:
     Includes the full set itself (empty word).  Sorted by decreasing
     size, then by mask, so the full set comes first.
     """
+    # stable: masks of one size stay in increasing order
     masks = sorted(compress(range(1 << dfa.n), _image_links(dfa)),
-                   key=lambda m: (-m.bit_count(), m))
+                   key=int.bit_count, reverse=True)
     return tuple(StateSet.from_mask(m, dfa.n) for m in masks)
 
 
@@ -272,11 +330,13 @@ def image_extension_bound(dfa: Dfa) -> ImageExtensionReport:
         )
     if n < 2:
         raise ValueError("a single-state automaton has no proper images to extend")
-    if not is_synchronizing(dfa):
+    links = _image_links(dfa)
+    # the automaton synchronizes iff some image is a singleton
+    if not any(links[1 << q] for q in range(n)):
         raise ValueError("image-extension bound needs a synchronizing automaton")
     # one bit per reached mask, most significant digit first
-    flags = bytes(map(bool, _image_links(dfa)))[::-1]
-    queries = int(flags.translate(_DIGITS), 2)
+    queries = int(bytes(map(bool, links))[::-1].translate(_DIGITS), 2)
+    del links
     worst = _worst_distances(dfa, queries)
     stuck = next((s for length, s in worst if length is None), None)
     if stuck is not None:

@@ -154,6 +154,15 @@ def small_automata(draw):
 @example(Dfa(5, 2, [[2, 2, 2, 5, 4], [2, 3, 4, 5, 1]]))
 # an identity letter (an empty pull program) beside a cyclic one
 @example(Dfa(4, 3, [[1, 2, 3, 4], [2, 3, 4, 1], [2, 2, 3, 4]]))
+# profile (2, 5, 2): an iteration without hits comes before the last hit
+# of size 2, so a size may not close at the first such iteration
+@example(Dfa(4, 2, [[2, 3, 1, 1], [4, 2, 2, 4]]))
+# sizes 2, 3 and 5 close unreached at an iteration without hits, and
+# size 4 stays open and gains its last hit after it
+@example(Dfa(6, 2, [[3, 3, 1, 5, 4, 5], [3, 3, 2, 6, 3, 5]]))
+# nine states: eight open sizes need four planes, and a count of 8 sets
+# only the top one
+@example(Dfa(9, 2, [[3, 6, 5, 7, 1, 2, 7, 4, 8], [8, 1, 6, 3, 3, 4, 9, 7, 9]]))
 def test_lattice_reports_match_oracles(dfa):
     profile = extension_profile(dfa)
     per_card = o_profile(dfa)
