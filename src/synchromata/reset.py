@@ -11,21 +11,31 @@ is a non-singleton that no earlier kept set covers, so no set is kept
 twice and the layers reach the full set or die out within 2^n layers.
 
 The forward method is the shared search kernel of the automaton module
-with a singleton as its goal, O(2^n k) steps at worst.  Both methods step
-with the automaton's split tables, two lookups per image or preimage of a
-subset instead of a loop over its states.  The layer search keeps a
-candidate iff it is not a singleton and no kept set covers it.  Each
-round visits its candidates once, in decreasing mask order, so a proper
-superset is kept before the candidates inside it.  A cover test ANDs,
-over the candidate's states, one bitset per state of the kept sets that
-hold it; a kept set's bits are set once, when it is kept.  So the search
-takes k steps per kept set, but its cover tests cost up to (kept sets ×
-candidates × n) bit operations, which dominate where the layers are wide.
+with a singleton as its goal, O(2^n k) steps at worst; each level is
+tested for a singleton with one set-disjointness call.  Both methods
+step with the automaton's split tables, two lookups per image or
+preimage of a subset instead of a loop over its states.  The layer
+search keeps a candidate iff it is not a singleton and no kept set
+covers it.  Each round visits its candidates once, in decreasing mask
+order, so a proper superset is kept before the candidates inside it.
+A candidate met in an earlier round is skipped, at one byte per mask
+(2^n bytes): it was kept then, or covered by a set that is still kept.
+Each new candidate gets one cover test: a reduce ANDs, over the
+candidate's states, one bitset per state of the kept sets that hold it,
+first for the current round's kept sets and then for the earlier rounds'.
+The states come from two lookups in split tables of state tuples.  At
+the end of a round, the round's bitsets are folded into the earlier
+rounds' for the states its kept sets touch.  So the search takes k steps
+per kept set, but its cover tests cost up to (kept sets × new candidates
+× n) bit operations, and these ANDs still dominate where the layers are
+wide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, reduce
+from operator import and_
 from typing import Optional
 
 from .automaton import (
@@ -41,10 +51,6 @@ from .automaton import (
 )
 
 
-def _first_singleton(level: list[int]) -> Optional[int]:
-    return next((m for m in level if m & (m - 1) == 0), None)
-
-
 def shortest_reset_word(dfa: Dfa) -> Optional[Word]:
     """A minimum-length word of rank 1, or None if the automaton never resets.
 
@@ -52,7 +58,14 @@ def shortest_reset_word(dfa: Dfa) -> Optional[Word]:
     shared search kernel, stopping at the first singleton; ties between
     equal-length words are broken by letter order.
     """
-    letters, _ = _shortest_word(dfa, True, dfa.full_mask, _first_singleton)
+    singletons = frozenset(1 << q for q in range(dfa.n))
+
+    def first_singleton(level: list[int]) -> Optional[int]:
+        if singletons.isdisjoint(level):
+            return None
+        return next(m for m in level if m in singletons)
+
+    letters, _ = _shortest_word(dfa, True, dfa.full_mask, first_singleton)
     return None if letters is None else Word(letters)
 
 
@@ -69,14 +82,24 @@ class LayerTrace:
     found_at: Optional[int]
 
 
-def _covering(member: list[int], mask: int) -> int:
-    """AND of member[q] over the states q of mask: the sets containing mask."""
-    acc = -1
-    while mask and acc:
-        low = mask & -mask
-        acc &= member[low.bit_length() - 1]
-        mask ^= low
-    return acc
+@cache
+def _state_tables(n: int) -> tuple[int, list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Split tables of the states of each mask over n states.
+
+    Returns h = ceil(n/2) and tables lo and hi such that the 0-based
+    states of mask m, in increasing order, are lo[m & (2^h - 1)] +
+    hi[m >> h], split as the automaton's step tables are.  Each is
+    filled by doubling, as ``automaton._union_table`` fills step tables,
+    once per n on first use.
+    """
+    h = (n + 1) // 2
+    halves = []
+    for states in (range(h), range(h, n)):
+        table: list[tuple[int, ...]] = [()]
+        for q in states:
+            table += [t + (q,) for t in table]
+        halves.append(table)
+    return h, halves[0], halves[1]
 
 
 def _layer_search(dfa: Dfa) -> tuple[list[list[int]], Optional[int]]:
@@ -84,6 +107,7 @@ def _layer_search(dfa: Dfa) -> tuple[list[list[int]], Optional[int]]:
     n = dfa.n
     full = dfa.full_mask
     h, tables = _step_tables(dfa, False)
+    _, lo_states, hi_states = _state_tables(n)
     low_bits = (1 << h) - 1
 
     level0 = [
@@ -92,11 +116,17 @@ def _layer_search(dfa: Dfa) -> tuple[list[list[int]], Optional[int]]:
         if n == 1 or any(dfa.inverse[a][q].bit_count() >= 2 for a in range(dfa.k))
     ]
     layer_masks: list[list[int]] = [level0]
-    # member[q]: bitset of the indices of the kept sets that hold q.
+    # member[q]: bitset of the indices of the kept sets of earlier rounds
+    # that hold q; round_member[q]: the same for the current round.
     member = [0] * n
     for i, s in enumerate(level0):
         member[s.bit_length() - 1] = 1 << i
+    round_member = [0] * n
+    in_member, in_round = member.__getitem__, round_member.__getitem__
     kept = len(level0)
+    # seen[s]: s was met as a candidate before; met in an earlier round,
+    # it was kept then or covered by a set that is still kept.
+    seen = bytearray(1 << n)
     found_at = 0 if full in level0 else None
 
     i = 0
@@ -110,19 +140,28 @@ def _layer_search(dfa: Dfa) -> tuple[list[list[int]], Optional[int]]:
         # A proper superset has a larger mask, so in decreasing mask order
         # it is visited, and kept, before the candidates inside it.
         level: list[int] = []
-        round_member = [0] * n
+        touched = 0
         for s in sorted(candidates, reverse=True):
-            if not s & (s - 1) or _covering(round_member, s) or _covering(member, s):
+            if seen[s]:
+                continue
+            seen[s] = 1
+            if not s & (s - 1):
+                continue
+            states = lo_states[s & low_bits] + hi_states[s >> h]
+            if level and reduce(and_, map(in_round, states)):
+                continue
+            if reduce(and_, map(in_member, states)):
                 continue
             bit = 1 << len(level)
             level.append(s)
-            while s:
-                low = s & -s
-                round_member[low.bit_length() - 1] |= bit
-                s ^= low
+            touched |= s
+            for q in states:
+                round_member[q] |= bit
         level.reverse()
         layer_masks.append(level)
-        member = [m | r << kept for m, r in zip(member, round_member)]
+        for q in lo_states[touched & low_bits] + hi_states[touched >> h]:
+            member[q] |= round_member[q] << kept
+            round_member[q] = 0
         kept += len(level)
         if full in level:
             found_at = i

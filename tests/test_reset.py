@@ -7,13 +7,16 @@ import synchromata.reset as reset_mod
 from synchromata import (
     ConsistencyError,
     Dfa,
+    MAX_STATES,
     StateSet,
     Word,
     a_odd,
     a_odd_sync_word,
+    b_series,
     cerny,
     check_sync_word,
     checked_reset_word,
+    conservative,
     inverse_layers,
     m_prime_series,
     m_series,
@@ -125,7 +128,7 @@ def test_layer_families_are_antichains():
 
 
 def test_methods_agree_on_every_family():
-    from synchromata import a_even, b_series, conservative
+    from synchromata import a_even
 
     members = (
         [a_odd(m) for m in (3, 4, 5)]
@@ -282,8 +285,30 @@ def test_forward_search_matches_oracle(rows):
 @example([[2, 1, 1], [1, 3, 2]])
 @example([[3, 1, 2, 4], [2, 4, 2, 1]])  # {q2, q4} and {q1, q2, q4} fresh in one round
 @example([[2, 1, 2, 1, 3], [5, 3, 1, 2, 1]])  # round 3 nests {q1, q4} < {q1, q2, q4} < {q1..q4}
+# round 7 meets {q1, q3, q4}, kept in round 5, and {q2, q3, q5}, covered in round 6
+@example([[2, 6, 3, 4, 1, 6], [1, 4, 6, 3, 4, 5]])
 def test_layers_match_naive_reference(rows):
-    dfa = Dfa(len(rows[0]), len(rows), rows)
+    assert_layers_match_naive(Dfa(len(rows[0]), len(rows), rows))
+
+
+def test_layers_match_naive_reference_beyond_nine_states():
+    # 10 to 12 states: the state tables have 5- and 6-bit halves
+    for dfa in (a_odd(6), b_series(5), conservative(6)):
+        assert_layers_match_naive(dfa)
+
+
+def test_state_tables_list_the_bits_of_a_mask():
+    rng = random.Random(23)
+    for n in range(1, MAX_STATES + 1):
+        h, lo, hi = reset_mod._state_tables(n)
+        low_bits = (1 << h) - 1
+        for mask in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(50)]:
+            states = lo[mask & low_bits] + hi[mask >> h]
+            assert states == tuple(q for q in range(n) if mask >> q & 1)
+
+
+def assert_layers_match_naive(dfa):
+    rows = dfa.rows()
     trace = inverse_layers(dfa)
     naive = naive_layers(rows)
     full = frozenset(range(1, dfa.n + 1))
