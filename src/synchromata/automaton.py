@@ -49,8 +49,8 @@ class Word:
 
     def __init__(self, letters: Iterable[int] = ()):
         object.__setattr__(self, "letters", tuple(letters))
-        if any(a < 0 for a in self.letters):
-            raise ValueError("letter indices must be non-negative")
+        if any(type(a) is not int or a < 0 for a in self.letters):
+            raise ValueError("letter indices must be non-negative integers")
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
@@ -97,8 +97,8 @@ class StateSet:
     def __init__(self, states: Iterable[int], n: int):
         mask = 0
         for q in states:
-            if not 1 <= q <= n:
-                raise ValueError(f"state {q} out of range 1..{n}")
+            if type(q) is not int or not 1 <= q <= n:
+                raise ValueError(f"state {q!r} out of range: need an integer in 1..{n}")
             mask |= 1 << (q - 1)
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "n", n)
@@ -189,12 +189,12 @@ class Dfa:
         rows: Sequence[Sequence[int]],
         letters: Optional[str] = None,
     ):
-        if n < 1:
-            raise ValueError(f"need at least one state, got n={n}")
+        if type(n) is not int or n < 1:
+            raise ValueError(f"need a positive integer number of states, got n={n!r}")
         if n > MAX_STATES:
             raise ValueError(f"n={n} exceeds the supported mask width {MAX_STATES}")
-        if k < 1:
-            raise ValueError(f"need at least one letter, got k={k}")
+        if type(k) is not int or k < 1:
+            raise ValueError(f"need a positive integer number of letters, got k={k!r}")
         if len(rows) != k:
             raise ValueError(f"expected {k} transition rows, got {len(rows)}")
         if letters is None:
@@ -208,10 +208,10 @@ class Dfa:
                     f"letter {letters[a]}: expected {n} entries, got {len(row)}"
                 )
             for i, t in enumerate(row):
-                if not 1 <= t <= n:
+                if type(t) is not int or not 1 <= t <= n:
                     raise ValueError(
                         f"letter {letters[a]}, state q{i + 1}: "
-                        f"target {t} out of range 1..{n}"
+                        f"target {t!r} out of range: need an integer in 1..{n}"
                     )
             delta.append(tuple(t - 1 for t in row))
         object.__setattr__(self, "n", n)
@@ -406,8 +406,8 @@ def _check_letter(dfa: Dfa, a: Union[int, str]) -> int:
         if idx < 0:
             raise ValueError(f"unknown letter {a!r} (alphabet {dfa.letters!r})")
         return idx
-    if not 0 <= a < dfa.k:
-        raise ValueError(f"letter index {a} out of range 0..{dfa.k - 1}")
+    if type(a) is not int or not 0 <= a < dfa.k:
+        raise ValueError(f"letter index {a!r} out of range: need an integer in 0..{dfa.k - 1}")
     return a
 
 

@@ -57,14 +57,12 @@ def _parse_subset(text: str, dfa: Dfa) -> StateSet:
     return StateSet(states, dfa.n)
 
 
+# the output formats of ``gen``, by name
+_FORMATS = {"json": io.to_json, "text": io.to_text, "dot": io.to_dot}
+
+
 def cmd_gen(args) -> int:
-    dfa = build_family(args.family, args.size)
-    if args.format == "json":
-        out = io.to_json(dfa)
-    elif args.format == "text":
-        out = io.to_text(dfa)
-    else:
-        out = io.to_dot(dfa)
+    out = _FORMATS[args.format](build_family(args.family, args.size))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(out)
@@ -213,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=sorted(FAMILIES))
     p.add_argument("--size", required=True, type=int,
                    help="family parameter (m for the 2m-state families, n otherwise)")
-    p.add_argument("--format", choices=["json", "text", "dot"], default="json")
+    p.add_argument("--format", choices=list(_FORMATS), default="json")
     p.add_argument("--output", "-o", help="write to a file instead of stdout")
 
     p = sub.add_parser("analyze", help="connectivity, synchronization, reset length")

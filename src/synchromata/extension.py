@@ -21,7 +21,9 @@ those with queries still open, for which T·w⁻¹ contains a query larger
 than c for some word w of length at most d.  V is a few bit-planes, each
 a family, and an iteration pulls each plane through each letter by a
 few masked shifts (:func:`_pull_program`) and keeps the bit-sliced
-maximum; a query is reached when its value grows.  The queries and each
+maximum; a query is reached when its value grows.  A size closes when
+its last query is reached, and every open size closes unreached at the
+fixpoint, the first iteration that grows V nowhere.  The queries and each
 size class of subsets are families too; memory is three 2^n-bit masks
 per program step and a few dozen 2^n-bit families.  The kernel is pure
 Python: importing numpy alone raises resident memory from about 16 to
@@ -132,19 +134,16 @@ def _pull_program(inv: Sequence[int], lows: list[int]) -> list[tuple[int, int, i
     return program
 
 
-def _above(planes: list[int], j: int, everything: int) -> int:
-    """The family [V > j] of a bit-sliced value V, most significant plane first.
+def _greater(a: list[int], b: list[int], everything: int) -> int:
+    """The family [A > B] of two bit-sliced values, most significant plane first.
 
     ``everything`` is the all-ones family; ``x ^ (x & v)`` is x without v.
     """
     gt, eq = 0, everything
-    for b in range(len(planes) - 1, -1, -1):
-        v = planes[b]
-        if j >> b & 1:
-            eq &= v
-        else:
-            gt |= eq & v
-            eq ^= eq & v
+    for x, y in zip(reversed(a), reversed(b)):
+        diff = x ^ y
+        gt |= eq & diff & x
+        eq ^= eq & diff
     return gt
 
 
@@ -162,11 +161,12 @@ def _worst_distances(dfa: Dfa, queries: int) -> list[tuple[Optional[int], int]]:
     up-closures of the larger queries, and V_d is the maximum of V_(d-1)
     and each letter's pull of it, one pull program per letter and plane.
     A query S of size c is reached at the first d where V_d(S) grows.
-    For the open size of index j, counting from 0 up, [V_d > j] grows
-    exactly like one backward search for that size would, so once an
-    iteration without hits leaves it unchanged it never grows again, and
-    the size closes with its queries unreached.  A size that closes
-    leaves the count.
+    A size closes, and leaves the count, when its last query is reached.
+    An unreached query S of size c gains value only through the threshold
+    family of c, the masks whose count includes c: the families of larger
+    sizes lie inside it, and S lies in those of smaller sizes from d = 0.
+    So once an iteration grows V nowhere, its fixpoint, every open size
+    closes with its queries unreached and the iteration ends.
 
     Returns one (distance, mask) pair per size c < n that has queries, in
     increasing c: the largest distance in that group and the first query
@@ -209,38 +209,44 @@ def _worst_distances(dfa: Dfa, queries: int) -> list[tuple[Optional[int], int]]:
                 for keep, rise, fall, s in program:
                     x = x & keep | (x & rise) << s | (x & fall) >> s
                 pulled.append(x)
-            # new = max(new, pulled): the pulled value is greater where it
-            # has a 1 at the most significant plane where the two differ
-            gt, eq = 0, everything
-            for v, p in zip(reversed(new), reversed(pulled)):
-                diff = v ^ p
-                gt |= eq & diff & p
-                eq ^= eq & diff
+            gt = _greater(pulled, new, everything)  # new = max(new, pulled)
             new = [v ^ (v ^ p) & gt for v, p in zip(new, pulled)]
             grown |= gt
-        closed, hit = [], False
+        if not grown:  # the fixpoint: no open query is ever reached
+            for c, open_ in left.items():
+                worst[c] = None, (open_ & -open_).bit_length() - 1
+            break
+        closed = []
         for j, (c, open_) in enumerate(left.items()):
             hits = grown & open_
             if hits:
-                hit = True
                 # d never falls, so the last iteration with hits is the worst
                 worst[c] = d, (hits & -hits).bit_length() - 1
                 left[c] = open_ ^ hits
                 if open_ == hits:
                     closed.append((j, c))
-        if not hit:
-            for j, (c, open_) in enumerate(left.items()):
-                if _above(new, j, everything) == _above(planes, j, everything):
-                    worst[c] = None, (open_ & -open_).bit_length() - 1
-                    closed.append((j, c))
         for j, c in reversed(closed):  # c leaves the count: V -= [V > j]
-            borrow = _above(new, j, everything)
+            borrow = _greater(new, [everything if j >> b & 1 else 0 for b in range(len(new))],
+                              everything)
             for b, plane in enumerate(new):
                 new[b] = plane ^ borrow
                 borrow ^= borrow & plane
             del left[c]
         planes = new[:len(left).bit_length()]
     return [worst[c] for c in sorted(worst)]
+
+
+def _lattice_size(dfa: Dfa, report: str) -> int:
+    """dfa.n, after refusing too many states for a whole-lattice report,
+    or too few to have a proper subset."""
+    n = dfa.n
+    if n > PROFILE_BOUND:
+        raise ValueError(
+            f"{report} over 2^{n} subsets exceeds the bound ({PROFILE_BOUND} states)"
+        )
+    if n < 2:
+        raise ValueError(f"a single-state automaton has no proper subsets for the {report}")
+    return n
 
 
 def extension_profile(dfa: Dfa) -> ExtensionReport:
@@ -252,14 +258,7 @@ def extension_profile(dfa: Dfa) -> ExtensionReport:
     Refuses automata above :data:`PROFILE_BOUND` states; query single
     subsets with :func:`shortest_extending_word` instead for those.
     """
-    n = dfa.n
-    if n > PROFILE_BOUND:
-        raise ValueError(
-            f"profile over 2^{n} subsets exceeds the bound ({PROFILE_BOUND} "
-            "states); query individual subsets with shortest_extending_word"
-        )
-    if n < 2:
-        raise ValueError("a single-state automaton has no proper subsets to extend")
+    n = _lattice_size(dfa, "profile")
     worst = _worst_distances(dfa, (1 << (1 << n)) - 1)
     per_card = tuple(length for length, _ in worst)
     stuck = next((s for length, s in worst if length is None), None)
@@ -322,14 +321,7 @@ def image_extension_bound(dfa: Dfa) -> ImageExtensionReport:
     every image grows, so a miss means an implementation bug rather than
     bad input.  Refuses automata above :data:`PROFILE_BOUND` states.
     """
-    n = dfa.n
-    if n > PROFILE_BOUND:
-        raise ValueError(
-            f"image-extension search over 2^{n} subsets exceeds the bound "
-            f"({PROFILE_BOUND} states)"
-        )
-    if n < 2:
-        raise ValueError("a single-state automaton has no proper images to extend")
+    n = _lattice_size(dfa, "image-extension bound")
     links = _image_links(dfa)
     # the automaton synchronizes iff some image is a singleton
     if not any(links[1 << q] for q in range(n)):
@@ -359,8 +351,8 @@ def shortest_avoiding_word(dfa: Dfa, q: int) -> Optional[Word]:
     None if every image contains q.  Search over forward images of the
     full state set.
     """
-    if not 1 <= q <= dfa.n:
-        raise ValueError(f"state {q} out of range 1..{dfa.n}")
+    if type(q) is not int or not 1 <= q <= dfa.n:
+        raise ValueError(f"state {q!r} out of range: need an integer in 1..{dfa.n}")
     bit = 1 << (q - 1)
     letters, _ = _shortest_word(
         dfa, True, dfa.full_mask,

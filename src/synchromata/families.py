@@ -43,12 +43,14 @@ def _drop(m: int) -> dict[int, int]:
 
 
 def _check_param(name: str, param: int) -> None:
-    """Refuse a parameter below the minimum that FAMILIES lists for name,
-    or above MAX_STATES: no family has fewer states than its parameter."""
+    """Refuse a parameter that is not an int (bool included), below the
+    minimum that FAMILIES lists for name, or above MAX_STATES: no family
+    has fewer states than its parameter."""
     _, low, meaning = FAMILIES[name]
-    if not low <= param <= MAX_STATES:
+    if type(param) is not int or not low <= param <= MAX_STATES:
         raise ValueError(
-            f"family {name!r} needs {low} <= parameter <= {MAX_STATES} ({meaning}), got {param}"
+            f"family {name!r} needs an integer {low} <= parameter <= {MAX_STATES} "
+            f"({meaning}), got {param!r}"
         )
 
 

@@ -21,11 +21,6 @@ def to_json_dict(dfa: Dfa) -> dict:
     }
 
 
-def _is_int(value) -> bool:
-    # JSON true/false load as bool, which Python counts as int
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def from_json_dict(doc: dict) -> Dfa:
     try:
         n = doc["n"]
@@ -33,15 +28,11 @@ def from_json_dict(doc: dict) -> Dfa:
         delta = doc["delta"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"automaton document needs n, alphabet, delta: {exc}")
-    if not _is_int(n):
-        raise ValueError(f"n must be an integer, got {n!r}")
     if not isinstance(alphabet, list) or not all(
         isinstance(ch, str) and len(ch) == 1 for ch in alphabet
     ):
         raise ValueError("alphabet must be a list of single-character names")
-    if not isinstance(delta, list) or not all(
-        isinstance(row, list) and all(_is_int(t) for t in row) for row in delta
-    ):
+    if not isinstance(delta, list) or not all(isinstance(row, list) for row in delta):
         raise ValueError("delta must be a list of rows of integer state numbers")
     if len(delta) != len(alphabet):
         raise ValueError(

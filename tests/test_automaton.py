@@ -69,6 +69,21 @@ def test_out_of_range_entry_names_letter_and_state():
         Dfa(3, 2, [[2, 3, 1], [1, 2, 4]])
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Dfa(2, 1, [[1.0, 2]]),
+        lambda: Dfa(2, 1, [["1", 2]]),
+        lambda: StateSet([1.5], 3),
+        lambda: Word([1.5]),
+    ],
+    ids=["float-entry", "string-entry", "float-state", "float-letter"],
+)
+def test_non_integers_are_refused_where_they_enter(make):
+    with pytest.raises(ValueError, match="integer"):
+        make()
+
+
 def test_size_limits():
     with pytest.raises(ValueError, match="mask width"):
         Dfa(MAX_STATES + 1, 1, [[1] * (MAX_STATES + 1)])

@@ -278,7 +278,7 @@ def _failing_claim(monkeypatch):
         ClaimResult("demo", 3, 7, 5, "fail", None)])
 
 
-# {c3}: cerny(3); {big}: cerny(21); {broken}: malformed JSON;
+# {c3}: cerny(3); {big}: cerny(21); {one}: one state; {broken}: malformed JSON;
 # {wide}: 30 letters, the last row one entry short;
 # {missing}: no such file; {nodir}: a path in a directory that does not exist.
 # A row's optional fourth entry is a text the run must print.
@@ -304,6 +304,7 @@ EXIT_CODES = [
     (["extend", "{missing}", "--set", "1"], None, 2),
     (["profile", "{c3}"], None, 0),
     (["profile", "{big}"], None, 2),
+    (["profile", "{one}"], None, 2, "single-state"),
     (["profile", "{c3}", "--bound", "30"], None, 2),
     (["profile", "{missing}"], None, 2),
     (["avoid", "{c3}", "--state", "1"], None, 0),
@@ -313,6 +314,7 @@ EXIT_CODES = [
     (["images", "{missing}"], None, 2),
     (["conjecture", "{c3}"], None, 0),
     (["conjecture", "{big}"], None, 2),
+    (["conjecture", "{one}"], None, 2, "single-state"),
     (["conjecture", "{c3}", "--bound", "30"], None, 2),
     (["conjecture", "{missing}"], None, 2),
     (["layers", "{c3}", "--trace"], None, 0),
@@ -337,6 +339,8 @@ def test_exit_code_table(tmp_path, monkeypatch, capsys, argv, patch, code, messa
     big.write_text(to_json(cerny(21)))
     c3 = tmp_path / "c3.json"
     c3.write_text(to_json(cerny(3)))
+    one = tmp_path / "one.txt"
+    one.write_text("1 1\n1\n")
     broken = tmp_path / "broken.json"
     broken.write_text("{broken")
     deep = tmp_path / "deep.json"
@@ -344,7 +348,7 @@ def test_exit_code_table(tmp_path, monkeypatch, capsys, argv, patch, code, messa
     wide = tmp_path / "wide.json"
     wide.write_text(json.dumps({"n": 2, "alphabet": [chr(0x100 + i) for i in range(30)],
                                 "delta": [[1, 2]] * 29 + [[1]]}))
-    paths = {"c3": c3, "big": big, "broken": broken, "deep": deep, "wide": wide,
+    paths = {"c3": c3, "big": big, "one": one, "broken": broken, "deep": deep, "wide": wide,
              "missing": tmp_path / "nope.json",
              "nodir": tmp_path / "nodir" / "out.json"}
     if patch:

@@ -157,8 +157,8 @@ def small_automata(draw):
 # profile (2, 5, 2): an iteration without hits comes before the last hit
 # of size 2, so a size may not close at the first such iteration
 @example(Dfa(4, 2, [[2, 3, 1, 1], [4, 2, 2, 4]]))
-# sizes 2, 3 and 5 close unreached at an iteration without hits, and
-# size 4 stays open and gains its last hit after it
+# sizes 2, 3 and 5 stop growing before size 4 gains its last hit, and
+# close unreached only at the fixpoint
 @example(Dfa(6, 2, [[3, 3, 1, 5, 4, 5], [3, 3, 2, 6, 3, 5]]))
 # nine states: eight open sizes need four planes, and a count of 8 sets
 # only the top one
@@ -223,13 +223,15 @@ def test_profile_bound_is_enforced(monkeypatch):
     def boom(*args):
         raise AssertionError("search ran")
 
-    # the refusal comes before any search or table build
+    # the refusals come before any search or table build
     monkeypatch.setattr(ext, "_worst_distances", boom)
     monkeypatch.setattr(ext, "_image_links", boom)
     monkeypatch.setattr(ext, "is_synchronizing", boom)
     for report in (extension_profile, image_extension_bound):
         with pytest.raises(ValueError, match=r"bound \(20 states\)"):
             report(cerny(21))
+        with pytest.raises(ValueError, match="single-state"):
+            report(Dfa(1, 1, [[1]]))
 
 
 def test_profiles_of_odd_family_stay_finite():

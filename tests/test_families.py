@@ -96,6 +96,16 @@ def test_parameter_validation(monkeypatch):
             word(2)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: FamilySpec("cerny", 2.5), lambda: build_family("cerny", 3.0)],
+    ids=["spec-float", "build-float"],
+)
+def test_non_integer_parameters_are_refused(make):
+    with pytest.raises(ValueError, match="integer"):
+        make()
+
+
 def test_family_tables_are_frozen():
     tables = {}
     for name, (builder, low, _) in FAMILIES.items():
