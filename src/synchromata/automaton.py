@@ -95,6 +95,8 @@ class StateSet:
     __slots__ = ("mask", "n")
 
     def __init__(self, states: Iterable[int], n: int):
+        if type(n) is not int:
+            raise ValueError(f"need an integer number of states, got n={n!r}")
         mask = 0
         for q in states:
             if type(q) is not int or not 1 <= q <= n:
@@ -105,6 +107,8 @@ class StateSet:
 
     @classmethod
     def from_mask(cls, mask: int, n: int) -> "StateSet":
+        if type(mask) is not int or type(n) is not int:
+            raise ValueError(f"need an integer mask and n, got {mask!r} and {n!r}")
         if mask < 0 or mask >> n:
             raise ValueError(f"mask {mask:#x} has bits outside 1..{n}")
         s = cls.__new__(cls)
@@ -199,8 +203,8 @@ class Dfa:
             raise ValueError(f"expected {k} transition rows, got {len(rows)}")
         if letters is None:
             letters = LETTER_NAMES[:k]
-        if len(letters) != k or len(set(letters)) != k:
-            raise ValueError(f"need {k} distinct letter names, got {letters!r}")
+        if type(letters) is not str or len(letters) != k or len(set(letters)) != k:
+            raise ValueError(f"need a string of {k} distinct letter names, got {letters!r}")
         delta = []
         for a, row in enumerate(rows):
             if len(row) != n:

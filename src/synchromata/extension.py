@@ -19,13 +19,13 @@ Every family of subsets is one int with a bit per mask, and one value
 iteration answers all sizes c at once: V_d(T) counts the sizes c, among
 those with queries still open, for which T·w⁻¹ contains a query larger
 than c for some word w of length at most d.  V is a few bit-planes, each
-a family, and an iteration pulls each plane through each letter by a
-few masked shifts (:func:`_pull_program`) and keeps the bit-sliced
+a family, and an iteration pulls each plane through each letter by at
+most n masked shift steps (:func:`_pull`) and keeps the bit-sliced
 maximum; a query is reached when its value grows.  A size closes when
 its last query is reached, and every open size closes unreached at the
 fixpoint, the first iteration that grows V nowhere.  The queries and each
-size class of subsets are families too; memory is three 2^n-bit masks
-per program step and a few dozen 2^n-bit families.  The kernel is pure
+size class of subsets are families too; memory is one 2^n-bit mask per
+program step and a few dozen 2^n-bit families.  The kernel is pure
 Python: importing numpy alone raises resident memory from about 16 to
 28 MB.  Both reports refuse more than :data:`PROFILE_BOUND` states
 before any search; the kernel's time and memory grow two- to threefold
@@ -53,7 +53,7 @@ from .automaton import (
 
 #: Largest n for which whole-lattice reports (profile, image-extension
 #: bound) are attempted; both refuse larger automata before any search.
-#: A profile of cerny(20) peaks near 31 MB.  Single-subset queries work
+#: A profile of cerny(20) peaks near 25 MB.  Single-subset queries work
 #: up to the mask width.
 PROFILE_BOUND = 20
 
@@ -96,42 +96,45 @@ class ExtensionReport:
     per_cardinality_max: tuple[Optional[int], ...]
 
 
-def _pull_program(inv: Sequence[int], lows: list[int]) -> list[tuple[int, int, int, int]]:
-    """Steps (keep, rise, fall, s) turning a family x into y, y[T] = x[T·a⁻¹].
+def _pull_program(inv: Sequence[int], lows: list[int]) -> tuple[list, list]:
+    """Copies (m, s, low) and swaps (m, s) turning x into y, y[T] = x[T·a⁻¹].
 
-    ``inv[q]`` is the mask of q·a⁻¹, ``lows[q]`` the family of masks
-    without q, and a step is x = x & keep | (x & rise) << s | (x & fall) >> s.
-    In each block inv[q], copy steps (s = 2^e) copy the bit of a
-    representative r (q if q·a = q, else the first state) into each other
-    state e, so x[T] then depends only on the representatives in T.
-    Transpositions of states i < j (s = 2^j - 2^i) then move each image
-    state to its representative and each other state to a freed one.
+    ``inv[q]`` is the mask of q·a⁻¹ and ``lows[q]`` the family of masks
+    without q; :func:`_pull` runs the steps.  A copy of the bit of a
+    representative r into state e (s = 2^e, low = lows[e], m the masks
+    with r but not e) makes x[T] depend only on the representatives in T;
+    r is q if q·a = q, else the first state of the block inv[q].  A swap
+    of states i < j (s = 2^j - 2^i, m the masks with i but not j) then
+    places each image state q in turn on its representative's bit, so a
+    letter has at most n steps.
     """
     n = len(inv)
-    highs = [low << (1 << q) for q, low in enumerate(lows)]
-    program, target, freed = [], [None] * n, []  # target[q]: where q moves
+    copies, swaps, reps, at = [], [], {}, list(range(n))  # at[p]: whose bit is at p
     for q, block in enumerate(inv):
         if block:
-            r = target[q] = q if block >> q & 1 else (block & -block).bit_length() - 1
+            r = reps[q] = q if block >> q & 1 else (block & -block).bit_length() - 1
             for e in range(n):
                 if block >> e & 1 and e != r:
-                    both0, both1 = lows[r] & lows[e], highs[r] & highs[e]
-                    program.append((both0 | both1, both0, both1, 1 << e))
-                    freed.append(e)
-    spare = iter([e for e in freed if target[e] is not None])
-    for q in range(n):
-        if target[q] is None:  # outside the image
-            target[q] = q if q in freed else next(spare)
-    # target = t1∘t2∘…: fix each state in turn by composing a transposition
-    # on the left; the pull applies them in the order found
-    for i in range(n):
-        j = target[i]
-        if j != i:
-            target[target.index(i)], target[i] = j, i
-            i, j = min(i, j), max(i, j)
-            keep = lows[i] & lows[j] | highs[i] & highs[j]
-            program.append((keep, highs[i] & lows[j], lows[i] & highs[j], (1 << j) - (1 << i)))
-    return program
+                    copies.append((lows[e] ^ lows[e] & lows[r], 1 << e, lows[e]))
+    for q, r in reps.items():
+        p = at.index(r)
+        if p != q:
+            at[p], at[q] = at[q], r
+            i, j = min(p, q), max(p, q)
+            swaps.append((lows[j] ^ lows[j] & lows[i], (1 << j) - (1 << i)))
+    return copies, swaps
+
+
+def _pull(x: int, program: tuple[list, list]) -> int:
+    """The family x pulled through one letter's :func:`_pull_program`."""
+    copies, swaps = program
+    for m, s, low in copies:  # y[T] = x[T with e in it iff r is]
+        x = (x ^ (x ^ x >> s) & m) & low
+        x |= x << s
+    for m, s in swaps:  # y[T] = x[T with i and j exchanged]
+        t = (x ^ x >> s) & m
+        x ^= t ^ t << s
+    return x
 
 
 def _greater(a: list[int], b: list[int], everything: int) -> int:
@@ -196,7 +199,7 @@ def _worst_distances(dfa: Dfa, queries: int) -> list[tuple[Optional[int], int]]:
             if count >> b & 1:
                 planes[b] = plane | up ^ above
         above, count, up = up, count - 1, up | left[c]
-    del lows, up, above
+    del lows, up, above  # frees the lows[e] that no copy step holds as its low
     everything = (1 << (1 << n)) - 1
     worst: dict[int, tuple[Optional[int], int]] = {}
     d = 0
@@ -204,11 +207,7 @@ def _worst_distances(dfa: Dfa, queries: int) -> list[tuple[Optional[int], int]]:
         d += 1
         new, grown = planes, 0
         for program in programs:
-            pulled = []
-            for x in planes:
-                for keep, rise, fall, s in program:
-                    x = x & keep | (x & rise) << s | (x & fall) >> s
-                pulled.append(x)
+            pulled = [_pull(x, program) for x in planes]
             gt = _greater(pulled, new, everything)  # new = max(new, pulled)
             new = [v ^ (v ^ p) & gt for v, p in zip(new, pulled)]
             grown |= gt
@@ -255,8 +254,10 @@ def extension_profile(dfa: Dfa) -> ExtensionReport:
     Every subset is a query of the lattice kernel, so one value iteration
     answers all subsets at once.  The witness is the first worst subset
     in (cardinality, mask) order, or the first subset that never extends.
-    Refuses automata above :data:`PROFILE_BOUND` states; query single
-    subsets with :func:`shortest_extending_word` instead for those.
+    A breadth-first search finds the witness word, and ConsistencyError
+    is raised if its length is not the kernel's maximum.  Refuses
+    automata above :data:`PROFILE_BOUND` states; query single subsets
+    with :func:`shortest_extending_word` instead for those.
     """
     n = _lattice_size(dfa, "profile")
     worst = _worst_distances(dfa, (1 << (1 << n)) - 1)
@@ -271,10 +272,16 @@ def extension_profile(dfa: Dfa) -> ExtensionReport:
         )
     max_length, mask = max(worst, key=itemgetter(0))
     witness = StateSet.from_mask(mask, n)
+    word = shortest_extending_word(dfa, witness)
+    if word is None or len(word) != max_length:
+        raise ConsistencyError(
+            f"profile witness {witness} extends in {None if word is None else len(word)} "
+            f"letters, the lattice kernel says {max_length}"
+        )
     return ExtensionReport(
         max_length=max_length,
         witness_set=witness,
-        witness_word=shortest_extending_word(dfa, witness),
+        witness_word=word,
         per_cardinality_max=per_card,
     )
 

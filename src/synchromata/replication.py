@@ -160,7 +160,7 @@ def _conservative_trap(m: int):
     return dfa, grown, word
 
 
-@_suite("m", 3, 8)
+@_suite("m", 3, 12)
 def check_a_odd_sync(ms: range) -> Iterator[ClaimResult]:
     """The explicit word resets a_odd(m) to q_1 with length 2m^2-2m+2."""
     for m in ms:
@@ -248,7 +248,7 @@ def check_conservative_growth(ms: range) -> Iterator[ClaimResult]:
     yield _prop("conservative-growth", ms[-1], growing and ratio_up and crosses)
 
 
-@_suite("m", 4, 8)
+@_suite("m", 4, 12)
 def check_b_series(ms: range) -> Iterator[ClaimResult]:
     """b_series(m) is strongly connected and synchronizing; two exact lengths.
 
@@ -267,7 +267,7 @@ def check_b_series(ms: range) -> Iterator[ClaimResult]:
         yield _exact("b-series-avoid", m, 2 * m + 2, len(avoid), witness=avoid)
 
 
-@_suite("m", 4, 9)
+@_suite("m", 4, 10)
 def check_image_extension_constant(ms: range) -> Iterator[ClaimResult]:
     """b_series(m) needs 3m-1 image-aware letters, so the constant is >= 3/2.
 

@@ -70,17 +70,24 @@ def test_out_of_range_entry_names_letter_and_state():
 
 
 @pytest.mark.parametrize(
-    "make",
+    "make, match",
     [
-        lambda: Dfa(2, 1, [[1.0, 2]]),
-        lambda: Dfa(2, 1, [["1", 2]]),
-        lambda: StateSet([1.5], 3),
-        lambda: Word([1.5]),
+        (lambda: Dfa(2, 1, [[1.0, 2]]), "integer"),
+        (lambda: Dfa(2, 1, [["1", 2]]), "integer"),
+        (lambda: StateSet([1.5], 3), "integer"),
+        (lambda: Word([1.5]), "integer"),
+        (lambda: StateSet([1], 2.5), "integer"),
+        (lambda: StateSet([1], True), "integer"),
+        (lambda: StateSet.from_mask(1.5, 3), "integer"),
+        (lambda: StateSet.from_mask(1, 2.0), "integer"),
+        (lambda: StateSet.from_mask(True, 3), "integer"),
+        (lambda: Dfa(2, 1, [[1, 2]], letters=["a"]), "string"),
     ],
-    ids=["float-entry", "string-entry", "float-state", "float-letter"],
+    ids=["float-entry", "string-entry", "float-state", "float-letter", "float-n",
+         "bool-n", "float-mask", "float-mask-n", "bool-mask", "list-letters"],
 )
-def test_non_integers_are_refused_where_they_enter(make):
-    with pytest.raises(ValueError, match="integer"):
+def test_non_integers_are_refused_where_they_enter(make, match):
+    with pytest.raises(ValueError, match=match):
         make()
 
 

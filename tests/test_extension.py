@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from synchromata import (
+    ConsistencyError,
     Dfa,
     FamilySpec,
     StateSet,
@@ -28,7 +29,9 @@ from synchromata import (
 
 import synchromata.automaton as automaton_mod
 from synchromata.automaton import _union_table
-from synchromata.extension import _pull_program
+from synchromata.cli import main
+from synchromata.extension import _pull, _pull_program
+from synchromata.io import to_json
 from synchromata.replication import greedy_length_formula
 
 from helpers import (
@@ -192,14 +195,21 @@ def letter_and_family(draw):
 @settings(max_examples=300, deadline=None)
 @given(letter_and_family())
 @example((5, [2, 2, 2, 5, 4], 0xB38F0F55))  # a three-state block, two states lost
-@example((5, [5, 1, 2, 3, 4], 0xB38F0F55))  # one cycle: transpositions only
+@example((5, [5, 1, 2, 3, 4], 0xB38F0F55))  # one cycle: swaps only
+@example((4, [1, 2, 3, 4], 0x9A3C))  # the identity: an empty program
+@example((5, [3, 3, 3, 3, 3], 0xB38F0F55))  # a constant letter: n - 1 copies, no swap
+@example((4, [3, 4, 4, 3], 0x9A3C))  # two blocks placed by swaps: 4 steps
 def test_pull_program_reads_each_mask_through_the_letter(case):
     n, row, x = case
     inv = Dfa(n, 1, [row]).inverse[0]
     lows = [sum(1 << t for t in range(1 << n) if not t >> q & 1) for q in range(n)]
-    y = x
-    for keep, rise, fall, s in _pull_program(inv, lows):
-        y = y & keep | (y & rise) << s | (y & fall) >> s
+    copies, swaps = program = _pull_program(inv, lows)
+    assert len(copies) + len(swaps) <= n
+    if row == list(range(1, n + 1)):
+        assert program == ([], [])
+    elif len(set(row)) == 1:
+        assert len(copies) == n - 1 and not swaps
+    y = _pull(x, program)
     table = _union_table(inv)  # table[T] = T·a⁻¹
     assert [y >> t & 1 for t in range(1 << n)] == [x >> table[t] & 1 for t in range(1 << n)]
 
@@ -232,6 +242,21 @@ def test_profile_bound_is_enforced(monkeypatch):
             report(cerny(21))
         with pytest.raises(ValueError, match="single-state"):
             report(Dfa(1, 1, [[1]]))
+
+
+def test_profile_witness_word_must_match_the_kernel(monkeypatch, tmp_path, capsys):
+    import synchromata.extension as ext
+
+    original = ext._worst_distances
+    monkeypatch.setattr(ext, "_worst_distances", lambda dfa, queries: [
+        (None if d is None else d - 1, s) for d, s in original(dfa, queries)])
+    dfa = a_odd(6)  # 11 states
+    with pytest.raises(ConsistencyError, match="the lattice kernel says"):
+        extension_profile(dfa)
+    path = tmp_path / "a6.json"
+    path.write_text(to_json(dfa))
+    assert main(["profile", str(path)]) == 1
+    assert capsys.readouterr().err.count("error:") == 1
 
 
 def test_profiles_of_odd_family_stay_finite():
