@@ -95,8 +95,8 @@ class StateSet:
     __slots__ = ("mask", "n")
 
     def __init__(self, states: Iterable[int], n: int):
-        if type(n) is not int:
-            raise ValueError(f"need an integer number of states, got n={n!r}")
+        if type(n) is not int or not 1 <= n <= MAX_STATES:
+            raise ValueError(f"need an integer number of states in 1..{MAX_STATES}, got {n!r}")
         mask = 0
         for q in states:
             if type(q) is not int or not 1 <= q <= n:
@@ -107,8 +107,8 @@ class StateSet:
 
     @classmethod
     def from_mask(cls, mask: int, n: int) -> "StateSet":
-        if type(mask) is not int or type(n) is not int:
-            raise ValueError(f"need an integer mask and n, got {mask!r} and {n!r}")
+        if type(mask) is not int or type(n) is not int or not 1 <= n <= MAX_STATES:
+            raise ValueError(f"need an integer mask and n in 1..{MAX_STATES}: {mask!r}, {n!r}")
         if mask < 0 or mask >> n:
             raise ValueError(f"mask {mask:#x} has bits outside 1..{n}")
         s = cls.__new__(cls)
@@ -130,7 +130,7 @@ class StateSet:
         return self.mask.bit_count()
 
     def __contains__(self, q: int) -> bool:
-        return 1 <= q <= self.n and self.mask >> (q - 1) & 1 == 1
+        return type(q) is int and 1 <= q <= self.n and self.mask >> (q - 1) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
         m = self.mask

@@ -1,14 +1,16 @@
 """Exact shortest-reset-word computation by two independent methods.
 
 The forward method searches the image subsets of the full state set.
-The inverse method grows the layer families L_0, L_1, ... of maximal
-subsets reachable from mergeable singletons by repeated one-letter
-preimages; the first layer containing the full set gives the reset
-length.  The two must always agree; :func:`checked_reset_word` runs each
-of them once and compares them.  Neither takes a cap: the forward search
-meets at most 2^n images, and each set the layer search keeps after L_0
-is a non-singleton that no earlier kept set covers, so no set is kept
-twice and the layers reach the full set or die out within 2^n layers.
+The inverse method, :func:`inverse_layers`, grows the layer families
+L_0, L_1, ... of maximal subsets reachable from mergeable singletons by
+repeated one-letter preimages, as masks that become StateSets only when
+read; the first layer containing the full set gives the reset length.
+The two must always agree; :func:`checked_reset_word` runs each of them
+once and compares the lengths, so it builds no StateSet.  Neither takes
+a cap: the forward search meets at most 2^n images, and each set the
+layer search keeps after L_0 is a non-singleton that no earlier kept set
+covers, so no set is kept twice and the layers reach the full set or die
+out within 2^n layers.
 
 The forward method is the shared search kernel of the automaton module
 with a singleton as its goal, O(2^n k) steps at worst; each level is
@@ -34,7 +36,7 @@ wide.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 from operator import and_
 from typing import Optional
 
@@ -73,13 +75,20 @@ def shortest_reset_word(dfa: Dfa) -> Optional[Word]:
 class LayerTrace:
     """The layer families produced by the inverse search.
 
-    ``layers[i]`` holds the maximal non-singleton subsets first reached
-    after i preimage steps; ``found_at`` is the first index whose layer
-    contains the full state set, or None when the layers died out.
+    ``masks[i]`` holds, as masks over ``n`` states, the maximal
+    non-singleton subsets first reached after i preimage steps;
+    ``found_at`` is the first index whose layer contains the full state
+    set, or None when the layers died out.  ``layers`` holds the same
+    sets as StateSets, built on first read.
     """
 
-    layers: tuple[tuple[StateSet, ...], ...]
+    masks: tuple[tuple[int, ...], ...]
+    n: int
     found_at: Optional[int]
+
+    @cached_property
+    def layers(self) -> tuple[tuple[StateSet, ...], ...]:
+        return tuple(tuple(StateSet.from_mask(s, self.n) for s in m) for m in self.masks)
 
 
 @cache
@@ -102,20 +111,32 @@ def _state_tables(n: int) -> tuple[int, list[tuple[int, ...]], list[tuple[int, .
     return h, halves[0], halves[1]
 
 
-def _layer_search(dfa: Dfa) -> tuple[list[list[int]], Optional[int]]:
-    """The layers of :func:`inverse_layers` as lists of masks, and ``found_at``."""
+def inverse_layers(dfa: Dfa) -> LayerTrace:
+    """Grow the layer families L_0, L_1, ... and report where Q first appears.
+
+    L_0 holds the singletons that some letter maps at least two states
+    onto, or the full set itself when there is only one state.  The
+    candidates for the next layer are the one-letter preimages of the
+    previous layer.  A candidate is kept iff it is not a singleton and no
+    kept set covers it: no member of an earlier layer, and no candidate
+    of the same round kept before it.  Candidates are visited in
+    decreasing mask order, so a superset is kept before the sets inside
+    it, and no layer holds a proper subset of another candidate of its
+    round.  Stops early once the full set appears or a layer comes out
+    empty.  The only layer search; its trace keeps the layers as masks.
+    """
     n = dfa.n
     full = dfa.full_mask
     h, tables = _step_tables(dfa, False)
     _, lo_states, hi_states = _state_tables(n)
     low_bits = (1 << h) - 1
 
-    level0 = [
+    level0 = tuple(
         1 << q
         for q in range(n)
         if n == 1 or any(dfa.inverse[a][q].bit_count() >= 2 for a in range(dfa.k))
-    ]
-    layer_masks: list[list[int]] = [level0]
+    )
+    layer_masks = [level0]
     # member[q]: bitset of the indices of the kept sets of earlier rounds
     # that hold q; round_member[q]: the same for the current round.
     member = [0] * n
@@ -157,36 +178,14 @@ def _layer_search(dfa: Dfa) -> tuple[list[list[int]], Optional[int]]:
             touched |= s
             for q in states:
                 round_member[q] |= bit
-        level.reverse()
-        layer_masks.append(level)
+        layer_masks.append(tuple(reversed(level)))
         for q in lo_states[touched & low_bits] + hi_states[touched >> h]:
             member[q] |= round_member[q] << kept
             round_member[q] = 0
         kept += len(level)
         if full in level:
             found_at = i
-    return layer_masks, found_at
-
-
-def inverse_layers(dfa: Dfa) -> LayerTrace:
-    """Grow the layer families L_0, L_1, ... and report where Q first appears.
-
-    L_0 holds the singletons that some letter maps at least two states
-    onto, or the full set itself when there is only one state.  The
-    candidates for the next layer are the one-letter preimages of the
-    previous layer.  A candidate is kept iff it is not a singleton and no
-    kept set covers it: no member of an earlier layer, and no candidate
-    of the same round kept before it.  Candidates are visited in
-    decreasing mask order, so a superset is kept before the sets inside
-    it, and no layer holds a proper subset of another candidate of its
-    round.  Stops early once the full set appears or a layer comes out
-    empty.
-    """
-    layer_masks, found_at = _layer_search(dfa)
-    layers = tuple(
-        tuple(StateSet.from_mask(s, dfa.n) for s in level) for level in layer_masks
-    )
-    return LayerTrace(layers=layers, found_at=found_at)
+    return LayerTrace(tuple(layer_masks), n, found_at)
 
 
 def checked_reset_word(dfa: Dfa) -> Optional[Word]:
@@ -197,7 +196,7 @@ def checked_reset_word(dfa: Dfa) -> Optional[Word]:
     in one of them.
     """
     word = shortest_reset_word(dfa)
-    _, found_at = _layer_search(dfa)
+    found_at = inverse_layers(dfa).found_at
     forward = None if word is None else len(word)
     if forward != found_at:
         raise ConsistencyError(

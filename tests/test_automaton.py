@@ -91,6 +91,29 @@ def test_non_integers_are_refused_where_they_enter(make, match):
         make()
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: StateSet([], 0),
+        lambda: StateSet([], -3),
+        lambda: StateSet([], MAX_STATES + 1),
+        lambda: StateSet.from_mask(0, -1),
+        lambda: StateSet.from_mask(0, 0),
+        lambda: StateSet.from_mask(0, MAX_STATES + 1),
+    ],
+    ids=["zero-n", "negative-n", "wide-n", "negative-mask-n", "zero-mask-n", "wide-mask-n"],
+)
+def test_state_sets_refuse_n_outside_the_mask_width(make):
+    with pytest.raises(ValueError, match=rf"integer.*1\.\.{MAX_STATES}"):
+        make()
+
+
+def test_only_integers_are_members():
+    s = StateSet([1], 3)
+    assert 1 in s
+    assert 1.5 not in s and True not in s and "1" not in s
+
+
 def test_size_limits():
     with pytest.raises(ValueError, match="mask width"):
         Dfa(MAX_STATES + 1, 1, [[1] * (MAX_STATES + 1)])

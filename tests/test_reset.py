@@ -24,6 +24,8 @@ from synchromata import (
     reset_length,
     shortest_reset_word,
 )
+from synchromata.cli import main
+from synchromata.io import to_json
 
 from helpers import o_image, o_preimage, o_reset_length, random_dfa
 from strategies import transition_rows
@@ -208,10 +210,39 @@ def test_checked_reset_word_runs_each_search_once(monkeypatch):
 
     counted("shortest_reset_word")
     counted("inverse_layers")
-    counted("_layer_search")
     word = checked_reset_word(cerny(5))
     assert len(word) == 16
-    assert calls == ["shortest_reset_word", "_layer_search"]
+    assert calls == ["shortest_reset_word", "inverse_layers"]
+
+
+def test_state_sets_are_built_only_when_the_layers_are_read(tmp_path, monkeypatch, capsys):
+    built = []
+    original = StateSet.from_mask.__func__
+
+    def counted(cls, mask, n):
+        built.append(mask)
+        return original(cls, mask, n)
+
+    monkeypatch.setattr(StateSet, "from_mask", classmethod(counted))
+    path = tmp_path / "m4.json"
+    path.write_text(to_json(m_series(4)))
+    assert main(["layers", str(path)]) == 0
+    assert capsys.readouterr().out == "full set reached at layer 7\n"
+    assert len(checked_reset_word(a_odd(5))) == 39
+    assert built == []
+    assert main(["layers", str(path), "--trace"]) == 0
+    assert capsys.readouterr().out == (
+        "L_0: {q2}\n"
+        "L_1: {q1, q2} {q1, q4}\n"
+        "L_2: {q2, q4}\n"
+        "L_3: {q1, q2, q4} {q1, q3, q4}\n"
+        "L_4: {q2, q3}\n"
+        "L_5: {q1, q2, q3}\n"
+        "L_6: {q2, q3, q4}\n"
+        "L_7: {q1, q2, q3, q4}\n"
+        "full set reached at layer 7\n"
+    )
+    assert len(built) == 10
 
 
 def test_disagreement_raises_consistency_error(monkeypatch):
