@@ -37,6 +37,7 @@ from .automaton import (
     is_synchronizing,
 )
 from .extension import (
+    _image_links,
     _irreducible,
     extension_profile,
     image_extension_bound,
@@ -127,11 +128,14 @@ def cmd_avoid(args) -> int:
 
 def cmd_images(args) -> int:
     dfa = io.load_path(args.automaton)
+    if not args.list:
+        links = _image_links(dfa)
+        print(f"reachable images: {len(links) - links.count(0)}")
+        return 0
     images = reachable_images(dfa)
     print(f"reachable images: {len(images)}")
-    if args.list:
-        for s in images:
-            print(f"  {s}")
+    for s in images:
+        print(f"  {s}")
     return 0
 
 
@@ -150,8 +154,8 @@ def cmd_layers(args) -> int:
     dfa = io.load_path(args.automaton)
     trace = inverse_layers(dfa)
     if args.trace:
-        for i, layer in enumerate(trace.layers):
-            sets = " ".join(str(s) for s in layer)
+        for i, layer in enumerate(trace.masks):
+            sets = " ".join(str(StateSet.from_mask(s, trace.n)) for s in layer)
             print(f"L_{i}: {sets if sets else '(empty)'}")
     if trace.found_at is not None:
         print(f"full set reached at layer {trace.found_at}")

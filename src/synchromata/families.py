@@ -18,13 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automaton import MAX_STATES, Dfa, StateSet, Word, preimage_word
+from .automaton import MAX_STATES, Dfa, StateSet, Word
 
 A, B, C = 0, 1, 2
-
-
-class ConstructionSearchError(RuntimeError):
-    """A bounded search that must succeed by construction found nothing."""
 
 
 def _letter(n: int, moves: dict[int, int]) -> list[int]:
@@ -202,13 +198,23 @@ def named_subset(spec: FamilySpec, which: str) -> StateSet:
 # explicit words
 # ---------------------------------------------------------------------------
 
+def _check_a_odd_word(m: int, low: int) -> None:
+    """Refuse m unless a_odd(m) can be built and m >= low."""
+    _check_param("a-odd", m)
+    if not low <= m <= (MAX_STATES + 1) // 2:
+        raise ValueError(
+            f"an a-odd word needs {low} <= m <= {(MAX_STATES + 1) // 2} "
+            f"(2m-1 <= {MAX_STATES} states), got {m!r}"
+        )
+
+
 def a_odd_sync_word(m: int) -> Word:
     """The explicit word of length 2m^2-2m+2 that resets a_odd(m) to q_1.
 
     Shape: b a b a^m b followed by m-2 repetitions of a^{m-1} b a^m b.
     Each repetition peels one more state off the lower cycle.
     """
-    _check_param("a-odd", m)
+    _check_a_odd_word(m, 3)
     head = Word([B, A, B]) + Word([A]) * m + Word([B])
     block = Word([A]) * (m - 1) + Word([B]) + Word([A]) * m + Word([B])
     return head + block * (m - 2)
@@ -226,44 +232,18 @@ def m_prime_series_sync_word(n: int) -> Word:
     return Word([C, B]) + (Word([A]) * (n - 2) + Word([C, B])) * (n - 3)
 
 
-def _greedy_candidate(m: int, d: int, t: int) -> Word:
-    # b a^t (b a^{2m-1})^{d-2} (b a^{2m-3} b a^2) b
-    return (
-        Word([B])
-        + Word([A]) * t
-        + (Word([B]) + Word([A]) * (2 * m - 1)) * (d - 2)
-        + Word([B])
-        + Word([A]) * (2 * m - 3)
-        + Word([B, A, A])
-        + Word([B])
-    )
-
-
 def greedy_extending_word(m: int) -> Word:
-    """Shortest greedy-strategy word that extends the upper block of a_odd(m).
+    """The greedy-strategy word that extends the upper block of a_odd(m).
 
-    The strategy collects lower-cycle states one at a time with the
-    blocks b a^{2m-1}, seeded by b a^{2m-3} b a^2, then rotates the
-    collected run with a^t so that a final b doubles it.  The search
-    scans the collected count d and the rotation t; the winning length
-    is m^2 - 3m/2 + 4 for even m and m^2 - m + 2 for odd m (odd m needs
-    the full rotation t = 2m-1).
+    Shape: b a^t (b a^{2m-1})^{d-2} b a^{2m-3} b a^2 b with d = floor(m/2),
+    and t = m/2 + 1 for even m or t = 2m-1 for odd m; its length is
+    m^2 - 3m/2 + 4 for even m and m^2 - m + 2 for odd m.  The blocks
+    b a^{2m-1}, seeded by b a^{2m-3} b a^2, collect lower-cycle states
+    one at a time, and a^t rotates the collected run so that the final b
+    doubles it.
     """
-    if m < 4:
-        raise ValueError(f"need m >= 4, got {m}")
-    dfa = a_odd(m)
-    target = named_subset(FamilySpec("a-odd", m), "upper")
-    goal = len(target)
-    best = None
-    for d in range(2, m + 3):
-        for t in range(0, 2 * m):
-            w = _greedy_candidate(m, d, t)
-            if best is not None and len(best) <= len(w):
-                continue
-            if len(preimage_word(dfa, target, w)) > goal:
-                best = w
-    if best is None:
-        raise ConstructionSearchError(
-            f"no greedy candidate extends the upper block for m={m}"
-        )
-    return best
+    _check_a_odd_word(m, 4)
+    t = m // 2 + 1 if m % 2 == 0 else 2 * m - 1
+    a = Word([A])
+    return (Word([B]) + a * t + (Word([B]) + a * (2 * m - 1)) * (m // 2 - 2)
+            + Word([B]) + a * (2 * m - 3) + Word([B, A, A, B]))

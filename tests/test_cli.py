@@ -10,7 +10,7 @@ import pytest
 
 import synchromata
 import synchromata.reset as reset_mod
-from synchromata import ConsistencyError, Word, b_series, cerny, m_series
+from synchromata import ConsistencyError, StateSet, Word, b_series, cerny, m_series
 from synchromata.cli import main
 from synchromata.io import from_json, to_json, to_text
 from synchromata.replication import ClaimResult
@@ -92,6 +92,40 @@ def test_images(b8_path, capsys):
     assert "reachable images: 240" in capsys.readouterr().out
     assert main(["images", b8_path, "--list"]) == 0
     assert "{q1, q2}" in capsys.readouterr().out
+
+
+def test_images_counts_without_building_sets(b8_path, monkeypatch, capsys):
+    assert main(["images", b8_path, "--list"]) == 0
+    listed = capsys.readouterr().out
+    built = []
+    original = StateSet.from_mask.__func__
+
+    def counted(cls, mask, n):
+        built.append(mask)
+        return original(cls, mask, n)
+
+    monkeypatch.setattr(StateSet, "from_mask", classmethod(counted))
+    assert main(["images", b8_path]) == 0
+    assert built == []
+    out = capsys.readouterr().out
+    assert out == "reachable images: 240\n"
+    assert listed.startswith(out)
+
+
+def test_layers_trace_prints_from_the_masks(tmp_path, monkeypatch, capsys):
+    layers = reset_mod.inverse_layers(m_series(5)).layers
+    expected = "".join(
+        f"L_{i}: {' '.join(map(str, layer))}\n" for i, layer in enumerate(layers)
+    ) + "full set reached at layer 13\n"
+
+    def refuse(trace):
+        raise AssertionError("layers --trace read LayerTrace.layers")
+
+    monkeypatch.setattr(reset_mod.LayerTrace, "layers", property(refuse))
+    path = tmp_path / "m5.json"
+    path.write_text(to_json(m_series(5)))
+    assert main(["layers", "--trace", str(path)]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_conjecture(b8_path, capsys):

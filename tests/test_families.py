@@ -94,6 +94,8 @@ def test_parameter_validation(monkeypatch):
     for word in (a_odd_sync_word, m_series_sync_word, m_prime_series_sync_word):
         with pytest.raises(ValueError, match="3 <= parameter"):
             word(2)
+    with pytest.raises(ValueError, match=f"2m-1 <= {MAX_STATES} states"):
+        a_odd_sync_word(13)
 
 
 @pytest.mark.parametrize(
@@ -221,7 +223,7 @@ def test_ternary_sync_words():
 
 
 def test_greedy_extending_word_lengths():
-    expected = {4: 14, 5: 22, 6: 31, 7: 44, 8: 56}
+    expected = {4: 14, 5: 22, 6: 31, 7: 44, 8: 56, 9: 74, 10: 89, 11: 112, 12: 130}
     for m, length in expected.items():
         word = greedy_extending_word(m)
         assert len(word) == length
@@ -231,7 +233,7 @@ def test_greedy_extending_word_lengths():
 
 
 def test_greedy_word_extends_upper_block():
-    for m in range(4, 9):
+    for m in range(4, 13):
         dfa = a_odd(m)
         upper = named_subset(FamilySpec("a-odd", m), "upper")
         grown = preimage_word(dfa, upper, greedy_extending_word(m))
@@ -240,8 +242,10 @@ def test_greedy_word_extends_upper_block():
 
 
 def test_greedy_needs_m_at_least_4():
-    with pytest.raises(ValueError):
-        greedy_extending_word(3)
+    # a_odd(13) has 25 states, over MAX_STATES
+    for m in (3, 13, 4.0):
+        with pytest.raises(ValueError):
+            greedy_extending_word(m)
 
 
 # ---------------------------------------------------------------------
