@@ -22,7 +22,6 @@ from .automaton import (
     shortest_compressing_word,
 )
 from .extension import (
-    PROFILE_BOUND,
     ExtensionReport,
     ImageExtensionReport,
     extension_profile,
@@ -67,7 +66,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MAX_STATES",
-    "PROFILE_BOUND",
     "ConsistencyError",
     "Dfa",
     "StateSet",

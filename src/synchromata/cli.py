@@ -8,8 +8,8 @@ memory (MemoryError), 130 when interrupted (KeyboardInterrupt).  Every
 error exit prints one ``error:`` line to stderr.
 
 No subcommand takes a search cap: the reset searches always settle, and
-``profile`` and ``conjecture`` refuse more than ``PROFILE_BOUND`` states
-before any search.
+``profile`` and ``conjecture`` run at every size the library accepts,
+with the cost model of :mod:`synchromata.extension`.
 
 The argument parser is built once per process, on the first :func:`main`
 call, and shared by every later call.  Each subcommand runs the
@@ -38,10 +38,10 @@ from .automaton import (
 )
 from .extension import (
     _image_links,
+    _image_masks,
     _irreducible,
     extension_profile,
     image_extension_bound,
-    reachable_images,
     shortest_avoiding_word,
     shortest_extending_word,
 )
@@ -132,10 +132,10 @@ def cmd_images(args) -> int:
         links = _image_links(dfa)
         print(f"reachable images: {len(links) - links.count(0)}")
         return 0
-    images = reachable_images(dfa)
-    print(f"reachable images: {len(images)}")
-    for s in images:
-        print(f"  {s}")
+    masks = _image_masks(dfa)
+    print(f"reachable images: {len(masks)}")
+    for m in masks:
+        print(f"  {StateSet.from_mask(m, dfa.n)}")
     return 0
 
 

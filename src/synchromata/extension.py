@@ -24,12 +24,15 @@ most n masked shift steps (:func:`_pull`) and keeps the bit-sliced
 maximum; a query is reached when its value grows.  A size closes when
 its last query is reached, and every open size closes unreached at the
 fixpoint, the first iteration that grows V nowhere.  The queries and each
-size class of subsets are families too; memory is one 2^n-bit mask per
-program step and a few dozen 2^n-bit families.  The kernel is pure
-Python: importing numpy alone raises resident memory from about 16 to
-28 MB.  Both reports refuse more than :data:`PROFILE_BOUND` states
-before any search; the kernel's time and memory grow two- to threefold
-with each state beyond that.
+size class of subsets are families too.  The kernel is pure Python:
+importing numpy alone raises resident memory from about 16 to 28 MB.
+
+Cost model: both reports run at every size :class:`Dfa` accepts.  Memory
+is about n masks of 2^n bits for each letter's pull program (one per
+step), a few dozen 2^n-bit families, and for the image bound the 4·2^n
+bytes of links of its image search; a 2^n-bit family is 2 MB at 24
+states.  Time and memory grow two- to threefold with each state, and
+running out of memory raises MemoryError.
 """
 
 from __future__ import annotations
@@ -50,12 +53,6 @@ from .automaton import (
     _synchronizes,
     is_synchronizing,
 )
-
-#: Largest n for which whole-lattice reports (profile, image-extension
-#: bound) are attempted; both refuse larger automata before any search.
-#: A profile of cerny(20) peaks near 25 MB.  Single-subset queries work
-#: up to the mask width.
-PROFILE_BOUND = 20
 
 # translates the bytes 0 and 1 to the digits '0' and '1'
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -236,13 +233,8 @@ def _worst_distances(dfa: Dfa, queries: int) -> list[tuple[Optional[int], int]]:
 
 
 def _lattice_size(dfa: Dfa, report: str) -> int:
-    """dfa.n, after refusing too many states for a whole-lattice report,
-    or too few to have a proper subset."""
+    """dfa.n, after refusing too few states to have a proper subset."""
     n = dfa.n
-    if n > PROFILE_BOUND:
-        raise ValueError(
-            f"{report} over 2^{n} subsets exceeds the bound ({PROFILE_BOUND} states)"
-        )
     if n < 2:
         raise ValueError(f"a single-state automaton has no proper subsets for the {report}")
     return n
@@ -255,9 +247,7 @@ def extension_profile(dfa: Dfa) -> ExtensionReport:
     answers all subsets at once.  The witness is the first worst subset
     in (cardinality, mask) order, or the first subset that never extends.
     A breadth-first search finds the witness word, and ConsistencyError
-    is raised if its length is not the kernel's maximum.  Refuses
-    automata above :data:`PROFILE_BOUND` states; query single subsets
-    with :func:`shortest_extending_word` instead for those.
+    is raised if its length is not the kernel's maximum.
     """
     n = _lattice_size(dfa, "profile")
     worst = _worst_distances(dfa, (1 << (1 << n)) - 1)
@@ -291,16 +281,20 @@ def _image_links(dfa: Dfa) -> Sequence[int]:
     return _shortest_word(dfa, True, dfa.full_mask, lambda level: None)[1]
 
 
+def _image_masks(dfa: Dfa) -> list[int]:
+    """The masks of :func:`reachable_images`, in its order."""
+    # stable: masks of one size stay in increasing order
+    return sorted(compress(range(1 << dfa.n), _image_links(dfa)),
+                  key=int.bit_count, reverse=True)
+
+
 def reachable_images(dfa: Dfa) -> tuple[StateSet, ...]:
     """All subsets that arise as the image of the full state set.
 
     Includes the full set itself (empty word).  Sorted by decreasing
     size, then by mask, so the full set comes first.
     """
-    # stable: masks of one size stay in increasing order
-    masks = sorted(compress(range(1 << dfa.n), _image_links(dfa)),
-                   key=int.bit_count, reverse=True)
-    return tuple(StateSet.from_mask(m, dfa.n) for m in masks)
+    return tuple(StateSet.from_mask(m, dfa.n) for m in _image_masks(dfa))
 
 
 @dataclass(frozen=True)
@@ -326,7 +320,7 @@ def image_extension_bound(dfa: Dfa) -> ImageExtensionReport:
     worst set is the first worst image in (cardinality, mask) order.
     Requires a synchronizing automaton: reversing a reset word shows
     every image grows, so a miss means an implementation bug rather than
-    bad input.  Refuses automata above :data:`PROFILE_BOUND` states.
+    bad input.
     """
     n = _lattice_size(dfa, "image-extension bound")
     links = _image_links(dfa)

@@ -190,7 +190,7 @@ def check_upper_extension(ms: range) -> Iterator[ClaimResult]:
                      gate=valid)
 
 
-@_suite("m", 4, 10)
+@_suite("m", 4, 12)
 def check_profile_maximum(ms: range) -> Iterator[ClaimResult]:
     """The upper block is a worst subset of the whole a_odd(m) lattice.
 
@@ -267,7 +267,7 @@ def check_b_series(ms: range) -> Iterator[ClaimResult]:
         yield _exact("b-series-avoid", m, 2 * m + 2, len(avoid), witness=avoid)
 
 
-@_suite("m", 4, 10)
+@_suite("m", 4, 12)
 def check_image_extension_constant(ms: range) -> Iterator[ClaimResult]:
     """b_series(m) needs 3m-1 image-aware letters, so the constant is >= 3/2.
 

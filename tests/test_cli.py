@@ -112,6 +112,22 @@ def test_images_counts_without_building_sets(b8_path, monkeypatch, capsys):
     assert listed.startswith(out)
 
 
+def test_images_list_builds_no_tuple_of_sets(b8_path, monkeypatch, capsys):
+    import synchromata.cli as cli_mod
+    import synchromata.extension as ext
+
+    expected = "reachable images: 240\n" + "".join(
+        f"  {s}\n" for s in ext.reachable_images(b_series(4)))
+
+    def refuse(dfa):
+        raise AssertionError("images --list built reachable_images")
+
+    monkeypatch.setattr(ext, "reachable_images", refuse)
+    monkeypatch.setattr(cli_mod, "reachable_images", refuse, raising=False)
+    assert main(["images", b8_path, "--list"]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_layers_trace_prints_from_the_masks(tmp_path, monkeypatch, capsys):
     layers = reset_mod.inverse_layers(m_series(5)).layers
     expected = "".join(
@@ -312,7 +328,8 @@ def _failing_claim(monkeypatch):
         ClaimResult("demo", 3, 7, 5, "fail", None)])
 
 
-# {c3}: cerny(3); {big}: cerny(21); {one}: one state; {broken}: malformed JSON;
+# {c3}: cerny(3); {big}: 25 states, over the mask width; {one}: one state;
+# {broken}: malformed JSON;
 # {wide}: 30 letters, the last row one entry short;
 # {missing}: no such file; {nodir}: a path in a directory that does not exist.
 # A row's optional fourth entry is a text the run must print.
@@ -337,7 +354,7 @@ EXIT_CODES = [
     (["extend", "{c3}", "--set", "1,99"], None, 2),
     (["extend", "{missing}", "--set", "1"], None, 2),
     (["profile", "{c3}"], None, 0),
-    (["profile", "{big}"], None, 2),
+    (["profile", "{big}"], None, 2, "mask width"),
     (["profile", "{one}"], None, 2, "single-state"),
     (["profile", "{c3}", "--bound", "30"], None, 2),
     (["profile", "{missing}"], None, 2),
@@ -347,7 +364,7 @@ EXIT_CODES = [
     (["images", "{c3}"], None, 0),
     (["images", "{missing}"], None, 2),
     (["conjecture", "{c3}"], None, 0),
-    (["conjecture", "{big}"], None, 2),
+    (["conjecture", "{big}"], None, 2, "mask width"),
     (["conjecture", "{one}"], None, 2, "single-state"),
     (["conjecture", "{c3}", "--bound", "30"], None, 2),
     (["conjecture", "{missing}"], None, 2),
@@ -369,8 +386,8 @@ ROWS = [row if len(row) == 4 else (*row, None) for row in EXIT_CODES]
          for argv, patch, _, _ in ROWS],
 )
 def test_exit_code_table(tmp_path, monkeypatch, capsys, argv, patch, code, message):
-    big = tmp_path / "c21.json"
-    big.write_text(to_json(cerny(21)))
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"n": 25, "alphabet": ["a"], "delta": [[1] * 25]}))
     c3 = tmp_path / "c3.json"
     c3.write_text(to_json(cerny(3)))
     one = tmp_path / "one.txt"

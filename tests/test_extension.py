@@ -227,21 +227,36 @@ def test_profile_finite_iff_synchronizing_for_uniform_indegree():
     assert all(v is None for v in report.per_cardinality_max)
 
 
-def test_profile_bound_is_enforced(monkeypatch):
+def test_lattice_reports_refuse_only_a_single_state(monkeypatch):
     import synchromata.extension as ext
 
     def boom(*args):
         raise AssertionError("search ran")
 
-    # the refusals come before any search or table build
+    # the refusal comes before any search or table build
     monkeypatch.setattr(ext, "_worst_distances", boom)
     monkeypatch.setattr(ext, "_image_links", boom)
     monkeypatch.setattr(ext, "is_synchronizing", boom)
     for report in (extension_profile, image_extension_bound):
-        with pytest.raises(ValueError, match=r"bound \(20 states\)"):
-            report(cerny(21))
         with pytest.raises(ValueError, match="single-state"):
             report(Dfa(1, 1, [[1]]))
+
+
+def test_lattice_reports_search_above_20_states(monkeypatch):
+    import synchromata.extension as ext
+
+    class Searched(Exception):
+        pass
+
+    def searched(*args):
+        raise Searched
+
+    # Dfa's MAX_STATES is the one state limit: 21 states reach the search
+    monkeypatch.setattr(ext, "_worst_distances", searched)
+    monkeypatch.setattr(ext, "_image_links", searched)
+    for report in (extension_profile, image_extension_bound):
+        with pytest.raises(Searched):
+            report(cerny(21))
 
 
 def test_profile_witness_word_must_match_the_kernel(monkeypatch, tmp_path, capsys):
