@@ -27,12 +27,18 @@ pairs.
 from __future__ import annotations
 
 from array import array
+from itertools import compress
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 #: Width of the subset bitmask; automata larger than this are rejected.
 MAX_STATES = 24
 
 LETTER_NAMES = "abcdefghijklmnopqrstuvwxyz"
+
+#: "q1".."q24", and the table mapping a mask's binary digits to 0/1 bytes
+#: that select from them in ``StateSet.__str__``
+_STATE_NAMES = tuple(f"q{q}" for q in range(1, MAX_STATES + 1))
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class ConsistencyError(RuntimeError):
@@ -165,7 +171,8 @@ class StateSet:
         return self.mask & ~other.mask == 0
 
     def __str__(self) -> str:
-        return "{" + ", ".join(f"q{q}" for q in self) + "}"
+        bits = f"{self.mask:b}"[::-1].encode().translate(_BIT_BYTES)
+        return "{" + ", ".join(compress(_STATE_NAMES, bits)) + "}"
 
     def __repr__(self) -> str:
         return f"StateSet({list(self)}, n={self.n})"

@@ -1,15 +1,19 @@
 """Named pass/fail checks for every quantitative claim the library reproduces.
 
 Each check builds the family fresh, computes the quantity with the
-analysis modules and compares against the expected value.  Exact claims
-carry a single expected integer; asymptotic claims are rendered as
-finite bracket or monotonicity checks over the desk-scale range, which
-is evidence, not proof.  Derived expectations (no closed form) were
-computed once with the brute-force oracles and are frozen here.
+analysis modules and compares it against a closed form in the family
+parameter, over the whole range the library can build: m up to
+``MAX_STATES // 2`` for the two-letter families (a_odd's 2m-1 states
+included) and n up to ``MAX_STATES`` for the ternary and Cerny series.
+Every expected value is a formula.  The one bound claim is the paper's
+proven bracket for extending a_odd's upper block, reported as
+``bound-ok`` beside the exact value it brackets.  Derived values (closed
+forms the exact searches meet at every parameter of the range, not
+numbers the abstract states) say so in their check's docstring.
 
-``SUITE`` lists every check with the range of its family parameter; it
-is the one place a range is written, read both by each check's guard
-and by ``run_all``.
+``SUITE`` lists every check with the first parameter of its range and
+``TOP`` derives each range's last from ``MAX_STATES``; both are read by
+each check's guard and by ``run_all``.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Union
 
 from .automaton import (
+    MAX_STATES,
     StateSet,
     Word,
     is_strongly_connected,
@@ -35,6 +40,7 @@ from .extension import (
 )
 from .families import (
     FamilySpec,
+    a_even,
     a_odd,
     a_odd_sync_word,
     b_series,
@@ -108,59 +114,39 @@ def greedy_length_formula(m: int) -> int:
     return m * m - m + 2
 
 
-#: Exact shortest extending lengths for the conservative family's grown
-#: set (upper cycle plus the feeder state), frozen from the BFS oracle.
-CONSERVATIVE_TRAP_LENGTHS = {4: 15, 5: 23, 6: 33, 7: 45}
-
-
 @dataclass(frozen=True)
 class Check:
-    """One row of the claim suite: a check and the parameters it runs over."""
+    """One row of the claim suite: a check, its cap and its first parameter."""
 
     check: Callable[[int], list[ClaimResult]]
     cap: str  # "m" (read from max_m) or "n" (read from max_n)
     first: int
-    last: int
 
 
-#: Every check in report order with its supported parameter range; the
-#: only place a range is written.  Filled by the ``_suite`` decorator.
+#: The last parameter of each cap: the largest family member within
+#: MAX_STATES states (2m states for the m families, n for the others).
+TOP = {"m": MAX_STATES // 2, "n": MAX_STATES}
+
+#: Every check in report order with the first parameter of its range.
+#: Filled by the ``_suite`` decorator.
 SUITE: list[Check] = []
 
 
-def _suite(cap: str, first: int, last: int):
+def _suite(cap: str, first: int):
     """Register claims(range(first, top + 1)) as check(top), guarding top."""
     def register(claims):
         @functools.wraps(claims)
         def check(top: int) -> list[ClaimResult]:
-            if not first <= top <= last:
+            if not first <= top <= TOP[cap]:
                 raise ValueError(
-                    f"supported range is {first} <= {cap} <= {last}, got {top}")
+                    f"supported range is {first} <= {cap} <= {TOP[cap]}, got {top}")
             return list(claims(range(first, top + 1)))
-        SUITE.append(Check(check, cap, first, last))
+        SUITE.append(Check(check, cap, first))
         return check
     return register
 
 
-def _a_odd_upper(m: int):
-    """a_odd(m), its upper block and a shortest word extending the block."""
-    dfa = a_odd(m)
-    upper = named_subset(FamilySpec("a-odd", m), "upper")
-    word = shortest_extending_word(dfa, upper)
-    assert word is not None
-    return dfa, upper, word
-
-
-def _conservative_trap(m: int):
-    """conservative(m), its grown set and a shortest word extending the set."""
-    dfa = conservative(m)
-    grown = StateSet(range(m + 1, 2 * m + 1), 2 * m)
-    word = shortest_extending_word(dfa, grown)
-    assert word is not None
-    return dfa, grown, word
-
-
-@_suite("m", 3, 12)
+@_suite("m", 3)
 def check_a_odd_sync(ms: range) -> Iterator[ClaimResult]:
     """The explicit word resets a_odd(m) to q_1 with length 2m^2-2m+2."""
     for m in ms:
@@ -169,7 +155,7 @@ def check_a_odd_sync(ms: range) -> Iterator[ClaimResult]:
                      witness=word, gate=check_sync_word(a_odd(m), word) == 1)
 
 
-@_suite("m", 4, 12)
+@_suite("m", 4)
 def check_upper_extension(ms: range) -> Iterator[ClaimResult]:
     """Shortest extension of the upper block: the bracket and its exact value.
 
@@ -179,7 +165,10 @@ def check_upper_extension(ms: range) -> Iterator[ClaimResult]:
     length.
     """
     for m in ms:
-        dfa, upper, word = _a_odd_upper(m)
+        dfa = a_odd(m)
+        upper = named_subset(FamilySpec("a-odd", m), "upper")
+        word = shortest_extending_word(dfa, upper)
+        assert word is not None
         hi = greedy_length_formula(m)
         greedy = greedy_extending_word(m)
         valid = len(preimage_word(dfa, upper, greedy)) > len(upper)
@@ -190,7 +179,7 @@ def check_upper_extension(ms: range) -> Iterator[ClaimResult]:
                      gate=valid)
 
 
-@_suite("m", 4, 12)
+@_suite("m", 4)
 def check_profile_maximum(ms: range) -> Iterator[ClaimResult]:
     """The upper block is a worst subset of the whole a_odd(m) lattice.
 
@@ -205,50 +194,45 @@ def check_profile_maximum(ms: range) -> Iterator[ClaimResult]:
                      witness=report.witness_word, gate=report.witness_set == upper)
 
 
-@_suite("m", 5, 7)
-def check_quadratic_growth(ms: range) -> Iterator[ClaimResult]:
-    """Finite evidence for quadratic growth of the upper-block extension.
+@_suite("m", 3)
+def check_a_even(ms: range) -> Iterator[ClaimResult]:
+    """a_even(m)'s upper block extends in m^2+1 letters; it resets in 2m^2-m+1.
 
-    Checks L(m)/m^2 within [0.4, 1.1] for each m and that L is strictly
-    increasing from the parameter below the first on.
+    Both are derived values, not numbers the abstract states: the BFS
+    and the layer search meet these closed forms at every m of the
+    range.  The first is the abstract's n^2/4 + O(n) at n = 2m.
     """
-    lengths = {m: len(_a_odd_upper(m)[2]) for m in range(ms.start - 1, ms.stop)}
     for m in ms:
-        lo = -(-4 * m * m // 10)  # ceil(0.4 m^2)
-        yield _bound("a-odd-quadratic-ratio", m, lo, 11 * m * m // 10, lengths[m])
-    increasing = all(lengths[m] > lengths[m - 1] for m in ms)
-    yield _prop("a-odd-growth", ms[-1], increasing)
+        dfa = a_even(m)
+        word = shortest_extending_word(dfa, named_subset(FamilySpec("a-even", m), "upper"))
+        length = reset_length(dfa)
+        yield _exact("a-even-upper-extension", m, m * m + 1,
+                     -1 if word is None else len(word), witness=word)
+        yield _exact("a-even-reset", m, 2 * m * m - m + 1, -1 if length is None else length)
 
 
-@_suite("m", 4, 7)
+@_suite("m", 3)
 def check_conservative(ms: range) -> Iterator[ClaimResult]:
     """The conservative family's one-step extension leads into a long trap.
 
-    Verifies the two preimage set equalities and the frozen exact length
-    of the shortest word extending the grown set.
+    Verifies the two preimage set equalities and that the shortest word
+    extending the grown set (the upper cycle plus its feeder q_{2m}) has
+    length m^2-m+3, a derived value the BFS meets at every m of the
+    range: quadratic in n = 2m, so no linear bound holds.
     """
     for m in ms:
-        dfa, grown, word = _conservative_trap(m)
+        dfa = conservative(m)
         n = 2 * m
         s = StateSet(range(m + 1, 2 * m), n)
+        grown = StateSet(range(m + 1, 2 * m + 1), n)
+        word = shortest_extending_word(dfa, grown)
         eq_a = preimage(dfa, s, "a") == grown and preimage(dfa, grown, "a") == grown
         eq_b = preimage(dfa, grown, "b") == StateSet([m], n)
-        yield _exact("conservative-trap-length", m, CONSERVATIVE_TRAP_LENGTHS[m],
-                     len(word), witness=word, gate=eq_a and eq_b)
+        yield _exact("conservative-trap-length", m, m * m - m + 3,
+                     -1 if word is None else len(word), witness=word, gate=eq_a and eq_b)
 
 
-@_suite("m", 5, 6)
-def check_conservative_growth(ms: range) -> Iterator[ClaimResult]:
-    """Trap lengths grow superlinearly: both L and L/n strictly increase."""
-    lengths = {m: len(_conservative_trap(m)[2])
-               for m in range(ms.start - 1, ms.stop)}
-    growing = all(lengths[m] > lengths[m - 1] for m in ms)
-    ratio_up = all(lengths[m] * (2 * m - 2) > lengths[m - 1] * 2 * m for m in ms)
-    crosses = any(length > 4 * m for m, length in lengths.items())
-    yield _prop("conservative-growth", ms[-1], growing and ratio_up and crosses)
-
-
-@_suite("m", 4, 12)
+@_suite("m", 4)
 def check_b_series(ms: range) -> Iterator[ClaimResult]:
     """b_series(m) is strongly connected and synchronizing; two exact lengths.
 
@@ -267,7 +251,7 @@ def check_b_series(ms: range) -> Iterator[ClaimResult]:
         yield _exact("b-series-avoid", m, 2 * m + 2, len(avoid), witness=avoid)
 
 
-@_suite("m", 4, 12)
+@_suite("m", 4)
 def check_image_extension_constant(ms: range) -> Iterator[ClaimResult]:
     """b_series(m) needs 3m-1 image-aware letters, so the constant is >= 3/2.
 
@@ -282,7 +266,7 @@ def check_image_extension_constant(ms: range) -> Iterator[ClaimResult]:
                      report.reachable_image_count)
 
 
-@_suite("n", 3, 12)
+@_suite("n", 3)
 def check_ternary_series(ns: range) -> Iterator[ClaimResult]:
     """Reset lengths, explicit words and irreducibility of the ternary series.
 
@@ -305,7 +289,7 @@ def check_ternary_series(ns: range) -> Iterator[ClaimResult]:
                 yield _prop(f"{tag}-irreducible", n, is_irreducibly_synchronizing(dfa))
 
 
-@_suite("n", 6, 7)
+@_suite("n", 6)
 def check_ternary_layers(ns: range) -> Iterator[ClaimResult]:
     """Layer families of m_series(n) collapse to {q_2..q_{2+i}} at index i*n."""
     for n in ns:
@@ -316,7 +300,7 @@ def check_ternary_layers(ns: range) -> Iterator[ClaimResult]:
         yield _prop("m-series-layers", n, ok)
 
 
-@_suite("n", 3, 7)
+@_suite("n", 3)
 def check_cerny_baseline(ns: range) -> Iterator[ClaimResult]:
     """The classical series hits the (n-1)^2 reset length exactly."""
     for n in ns:
@@ -334,17 +318,16 @@ def run_all(max_m: int = 8, max_n: int = 10) -> list[ClaimResult]:
     """Run the whole claim suite at the given desk bounds.
 
     max_m caps the two-letter family parameter (n up to 2*max_m states),
-    max_n caps the ternary series.  Each row of SUITE runs up to the
-    smaller of its cap and its last parameter, and is skipped when its
-    cap is below its first.  The default suite runs in under a second.
+    max_n caps the ternary and Cerny series.  Each cap is clamped to its
+    TOP, each row of SUITE runs up to its clamped cap and is skipped when
+    that is below its first.  The default suite runs in under a second.
     """
     check_caps(max_m, max_n)
-    caps = {"m": max_m, "n": max_n}
+    caps = {"m": min(max_m, TOP["m"]), "n": min(max_n, TOP["n"])}
     results: list[ClaimResult] = []
     for row in SUITE:
-        top = min(caps[row.cap], row.last)
-        if top >= row.first:
-            results += row.check(top)
+        if caps[row.cap] >= row.first:
+            results += row.check(caps[row.cap])
     return results
 
 

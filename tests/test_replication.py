@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -7,9 +6,10 @@ import synchromata.replication as replication
 from synchromata import ClaimResult, all_passing, run_all
 from synchromata.replication import (
     SUITE,
+    TOP,
+    Check,
     check_image_extension_constant,
     check_profile_maximum,
-    check_quadratic_growth,
     check_upper_extension,
     greedy_length_formula,
     upper_extension_lower_bound,
@@ -22,43 +22,45 @@ def test_formulas():
 
 
 def _top(row):
-    """row.last, but m = 10 (20 states) for the two whole-lattice rows.
+    """The parameter each row runs at here: 12, but m = 10 (20 states)
+    for the two whole-lattice rows.
 
-    Their reports at m = 11 and 12 take about 20 s each; the CI step
-    "Paper claims at the top of every range" runs them.
+    The whole-lattice reports at m = 11 and 12 take about 20 s each, and
+    the n rows from n = 13 to 24 take tens of seconds together; the CI
+    step "Paper claims at the top of every range" runs them.
     """
     if row.check in (check_profile_maximum, check_image_extension_constant):
-        return min(row.last, 10)
-    return row.last
-
-
-@pytest.fixture(scope="module")
-def claims_at_last():
-    """Each SUITE row's claims at its last parameter (see _top), computed once."""
-    return {row: row.check(_top(row)) for row in SUITE}
+        return 10
+    return 12
 
 
 @pytest.mark.parametrize("row", SUITE, ids=lambda row: row.check.__name__)
-def test_suite_row_guards_its_range_and_passes(row, claims_at_last):
-    for outside in (row.first - 1, row.last + 1):
+def test_suite_row_guards_its_range_and_passes(row):
+    for outside in (row.first - 1, TOP[row.cap] + 1):
         with pytest.raises(ValueError):
             row.check(outside)
-    claims = claims_at_last[row]
+    claims = row.check(_top(row))
     assert claims and all_passing(claims)
-    assert {r.parameter for r in claims} <= set(range(row.first, row.last + 1))
+    assert {r.parameter for r in claims} == set(range(row.first, _top(row) + 1))
 
 
-def test_run_all_runs_every_row_to_its_last(claims_at_last, monkeypatch):
-    expected = [r for row in SUITE for r in claims_at_last[row]]
-    monkeypatch.setattr(replication, "SUITE", [replace(row, last=_top(row)) for row in SUITE])
-    assert run_all(max_m=12, max_n=12) == expected
+def _stub_suite(monkeypatch):
+    """Replace SUITE by rows that each report the parameter they ran at."""
+    def stub(name):
+        return lambda top: [ClaimResult(name, top, top, top, "pass")]
+
+    rows = [Check(stub("m3"), "m", 3), Check(stub("n6"), "n", 6),
+            Check(stub("m7"), "m", 7), Check(stub("n3"), "n", 3)]
+    monkeypatch.setattr(replication, "SUITE", rows)
 
 
-def test_individual_checks_pass():
-    # a growth check below its last states its property at that top
-    results = check_quadratic_growth(6)
-    assert all_passing(results)
-    assert results[-1].claim_id == "a-odd-growth" and results[-1].parameter == 6
+def test_run_all_runs_every_row_to_its_last(monkeypatch):
+    _stub_suite(monkeypatch)
+    assert [(r.claim_id, r.parameter) for r in run_all(max_m=12, max_n=24)] == [
+        ("m3", 12), ("n6", 24), ("m7", 12), ("n3", 24)]
+    # a row whose first parameter is above its cap is skipped
+    assert [(r.claim_id, r.parameter) for r in run_all(max_m=6, max_n=5)] == [
+        ("m3", 6), ("n3", 5)]
 
 
 def test_bracket_claims_report_bound_status():
@@ -111,6 +113,9 @@ def test_suite_ranges_scale_with_caps():
     assert ("m-series-irreducible", 4) in params
 
 
-def test_caps_above_a_checks_range_are_clamped():
-    # the ternary checks support n <= 12; a larger cap runs the same suite
-    assert run_all(max_m=5, max_n=13) == run_all(max_m=5, max_n=12)
+def test_caps_above_a_checks_range_are_clamped(monkeypatch):
+    # no family member has more than MAX_STATES states, so each cap is
+    # clamped to its TOP once
+    assert TOP == {"m": 12, "n": 24}
+    _stub_suite(monkeypatch)
+    assert run_all(max_m=13, max_n=10**6) == run_all(max_m=12, max_n=24)
