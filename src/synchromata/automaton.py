@@ -9,9 +9,14 @@ Every single-source search over the subset lattice (shortest reset,
 compressing, extending and avoiding words, and the reachable images)
 runs on one kernel, :func:`_shortest_word`: a level-by-level
 breadth-first search from one mask by image or preimage steps, with a
-goal test on each completed level.  Each mask reached keeps only its
-predecessor, in one array of 4·2^n bytes (64 MB at 24 states), and the
-letter of each step is recovered on the way back.
+goal test on each completed level that also sees the links so far.
+Each mask reached keeps only its predecessor, in one array of 4·2^n
+bytes (64 MB at 24 states), and the letter of each step is recovered on
+the way back.  A level is stepped by a function compiled once per
+alphabet size k, :func:`_level_step`, which writes the steps by up to 26
+letters out one after another instead of looping over the letters for
+each mask; compiling it costs O(min(k, 26)), on the first search over k
+letters, and every k above 26 shares one such function.
 
 A step by one letter is the union, over the states of a mask, of each
 state's successor (image step) or preimage (preimage step), and
@@ -27,7 +32,9 @@ pairs.
 from __future__ import annotations
 
 from array import array
+from functools import cache
 from itertools import compress
+from textwrap import indent
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 #: Width of the subset bitmask; automata larger than this are rejected.
@@ -356,43 +363,99 @@ def _step_tables(dfa: Dfa, forward: bool) -> tuple[int, list[tuple[list[int], li
     return tables
 
 
+#: Letters the compiled level step writes out one after another; any
+#: further letters are stepped by one loop at the end of its body, so
+#: every larger alphabet shares the step compiled for _UNROLLED + 1.
+_UNROLLED = len(LETTER_NAMES)
+
+# The source of the level step: {pairs} unpacks the first {unrolled}
+# pairs of split tables, {letters} steps by each of them in turn.
+_STEP_SOURCE = """\
+def step(level, links, h, tables):
+    [{pairs}] = tables[:{unrolled}]
+    rest = tables[{unrolled}:]
+    low_bits = (1 << h) - 1
+    following = []
+    append = following.append
+    for cur in level:
+        lo_key = cur & low_bits
+        hi_key = cur >> h
+        link = cur + 1
+{letters}    return following
+"""
+
+# One letter's step in the level step's mask loop.
+_LETTER_SOURCE = """\
+        nxt = lo{a}[lo_key] | hi{a}[hi_key]
+        if not links[nxt]:
+            links[nxt] = link
+            append(nxt)
+"""
+
+
+@cache
+def _level_step(k: int) -> Callable[[list[int], array, int, list], list[int]]:
+    """The step of one search level over k letters, compiled once per k.
+
+    ``step(level, links, h, tables)`` steps each mask of ``level``, in
+    order, by letter 0, then letter 1, up to the last letter of
+    ``tables``, two lookups in the split tables each, and links and
+    collects every mask not reached before; it returns the masks
+    collected, in that order.  The first min(k, 26) letters are written
+    out one after another, so no letter loop runs per mask for them, and
+    compilation costs O(min(k, 26)).  Past 26 letters the step does not
+    depend on k, so callers pass min(k, 27).  The source is filled in
+    with letter indices alone.
+    """
+    unrolled = min(k, _UNROLLED)
+    letters = "".join(_LETTER_SOURCE.format(a=a) for a in range(unrolled))
+    if k > unrolled:
+        letters += "        for lo, hi in rest:\n" + indent(_LETTER_SOURCE.format(a=""), "    ")
+    source = _STEP_SOURCE.format(
+        pairs=", ".join(f"(lo{a}, hi{a})" for a in range(unrolled)),
+        unrolled=unrolled,
+        letters=letters,
+    )
+    namespace: dict = {}
+    more = " or more" if k > unrolled else ""
+    exec(compile(source, f"<level step over {k}{more} letters>", "exec"), namespace)
+    return namespace["step"]
+
+
 def _shortest_word(
-    dfa: Dfa, forward: bool, start: int, goal: Callable[[list[int]], Optional[int]]
+    dfa: Dfa,
+    forward: bool,
+    start: int,
+    goal: Callable[[list[int], array], Optional[int]],
 ) -> tuple[Optional[list[int]], array]:
     """Shortest path from start to a goal set by image or preimage steps.
 
     Level-by-level breadth-first search over masks, memoized in
     ``links``, one 4-byte entry per mask (4·2^n bytes): ``links[m]`` is
     the predecessor of m plus one, 0 while m is unreached and -1 for
-    start.  ``goal`` gets [start] and then each completed level, in
-    discovery order, and returns the first goal mask in it or None.
-    Returns the letters of the steps to that mask in step order, or None
-    if no level holds one, together with ``links``, whose non-zero
-    entries are every mask reached.  Ties between equal-length paths are
-    broken by letter order: a mask is linked from the first letter of
-    its predecessor that reaches it, and on the way back each letter is
-    recovered as that first letter.
+    start.  Each level is stepped by :func:`_level_step` for the
+    automaton's alphabet size, compiled once per size.  ``goal`` gets
+    [start] and then each completed level, in discovery order, together
+    with ``links`` as it stands after that level, and returns the first
+    goal mask in the level or None.  Returns the letters of the steps to
+    that mask in step order, or None if no level holds one, together
+    with ``links``, whose non-zero entries are every mask reached.  Ties
+    between equal-length paths are broken by letter order: a mask is
+    linked from the first letter of its predecessor that reaches it, and
+    on the way back each letter is recovered as that first letter.
     """
     h, tables = _step_tables(dfa, forward)
-    low_bits = (1 << h) - 1
+    step = _level_step(min(dfa.k, _UNROLLED + 1))
     links = array("i", [0]) * (1 << dfa.n)
     links[start] = -1
     level = [start]
-    found = goal(level)
+    found = goal(level, links)
     while found is None and level:
-        following = []
-        for cur in level:
-            lo_key, hi_key = cur & low_bits, cur >> h
-            link = cur + 1
-            for lo, hi in tables:
-                nxt = lo[lo_key] | hi[hi_key]
-                if not links[nxt]:
-                    links[nxt] = link
-                    following.append(nxt)
-        level = following
-        found = goal(level)
+        level = step(level, links, h, tables)
+        found = goal(level, links)
     if found is None:
         return None, links
+    low_bits = (1 << h) - 1
     letters = []
     while found != start:
         prev = links[found] - 1
@@ -473,7 +536,7 @@ def shortest_compressing_word(dfa: Dfa, s: StateSet) -> Optional[Word]:
         raise ValueError("compressibility needs a set of at least two states")
     letters, _ = _shortest_word(
         dfa, True, mask,
-        lambda level: next((m for m in level if m.bit_count() < card), None),
+        lambda level, _: next((m for m in level if m.bit_count() < card), None),
     )
     return None if letters is None else Word(letters)
 

@@ -46,7 +46,7 @@ from .extension import (
     shortest_extending_word,
 )
 from .families import FAMILIES, build_family
-from .replication import check_caps, run_all
+from .replication import check_caps, iter_claims
 from .reset import checked_reset_word, inverse_layers
 
 
@@ -180,12 +180,14 @@ def cmd_verify_paper(args) -> int:
         raise
     try:
         with fh:
-            results = run_all(max_m=args.max_m, max_n=args.max_n)
-            for r in results:
+            results = []
+            # each line is flushed as its claim is computed, so a run is
+            # followed live even when stdout is a pipe
+            for r in iter_claims(max_m=args.max_m, max_n=args.max_n):
+                results.append(r)
                 expected = r.expected if isinstance(r.expected, int) else list(r.expected)
-                line = (f"{r.status.upper():8s} {r.claim_id}({r.parameter}): "
-                        f"computed={r.computed} expected={expected}")
-                print(line)
+                print(f"{r.status.upper():8s} {r.claim_id}({r.parameter}): "
+                      f"computed={r.computed} expected={expected}", flush=True)
             failed = sum(not r.ok for r in results)
             print(f"{len(results) - failed}/{len(results)} claims passed")
             if part:

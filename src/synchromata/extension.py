@@ -71,7 +71,7 @@ def shortest_extending_word(dfa: Dfa, s: StateSet) -> Optional[Word]:
     card = mask.bit_count()
     letters, _ = _shortest_word(
         dfa, False, mask,
-        lambda level: next((m for m in level if m.bit_count() > card), None),
+        lambda level, _: next((m for m in level if m.bit_count() > card), None),
     )
     # the letter of the last preimage step is the first letter of the word
     return None if letters is None else Word(reversed(letters))
@@ -278,7 +278,7 @@ def extension_profile(dfa: Dfa) -> ExtensionReport:
 
 def _image_links(dfa: Dfa) -> Sequence[int]:
     """Links of one image search from the full set: non-zero at each image."""
-    return _shortest_word(dfa, True, dfa.full_mask, lambda level: None)[1]
+    return _shortest_word(dfa, True, dfa.full_mask, lambda level, _: None)[1]
 
 
 def _image_masks(dfa: Dfa) -> list[int]:
@@ -357,7 +357,7 @@ def shortest_avoiding_word(dfa: Dfa, q: int) -> Optional[Word]:
     bit = 1 << (q - 1)
     letters, _ = _shortest_word(
         dfa, True, dfa.full_mask,
-        lambda level: next((m for m in level if not m & bit), None),
+        lambda level, _: next((m for m in level if not m & bit), None),
     )
     return None if letters is None else Word(letters)
 

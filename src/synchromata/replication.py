@@ -13,7 +13,7 @@ numbers the abstract states) say so in their check's docstring.
 
 ``SUITE`` lists every check with the first parameter of its range and
 ``TOP`` derives each range's last from ``MAX_STATES``; both are read by
-each check's guard and by ``run_all``.
+each check's guard and by ``iter_claims``.
 """
 
 from __future__ import annotations
@@ -116,11 +116,17 @@ def greedy_length_formula(m: int) -> int:
 
 @dataclass(frozen=True)
 class Check:
-    """One row of the claim suite: a check, its cap and its first parameter."""
+    """One row of the claim suite: a check, its cap and its first parameter.
+
+    ``check(top)`` returns the row's claims for first..top as a list;
+    ``claims`` yields them one at a time for a range of parameters, so
+    :func:`iter_claims` hands each on as soon as it is computed.
+    """
 
     check: Callable[[int], list[ClaimResult]]
     cap: str  # "m" (read from max_m) or "n" (read from max_n)
     first: int
+    claims: Callable[[range], Iterator[ClaimResult]]
 
 
 #: The last parameter of each cap: the largest family member within
@@ -141,7 +147,7 @@ def _suite(cap: str, first: int):
                 raise ValueError(
                     f"supported range is {first} <= {cap} <= {TOP[cap]}, got {top}")
             return list(claims(range(first, top + 1)))
-        SUITE.append(Check(check, cap, first))
+        SUITE.append(Check(check, cap, first, claims))
         return check
     return register
 
@@ -309,26 +315,36 @@ def check_cerny_baseline(ns: range) -> Iterator[ClaimResult]:
 
 
 def check_caps(max_m: int, max_n: int) -> None:
-    """Refuse caps too low for a meaningful suite (run_all's precondition)."""
+    """Refuse caps too low for a meaningful suite (iter_claims's precondition)."""
     if max_m < 5 or max_n < 4:
         raise ValueError("need max_m >= 5 and max_n >= 4 for a meaningful suite")
 
 
-def run_all(max_m: int = 8, max_n: int = 10) -> list[ClaimResult]:
-    """Run the whole claim suite at the given desk bounds.
+def iter_claims(max_m: int = 8, max_n: int = 10) -> Iterator[ClaimResult]:
+    """Run the whole claim suite at the given desk bounds, claim by claim.
 
     max_m caps the two-letter family parameter (n up to 2*max_m states),
     max_n caps the ternary and Cerny series.  Each cap is clamped to its
     TOP, each row of SUITE runs up to its clamped cap and is skipped when
-    that is below its first.  The default suite runs in under a second.
+    that is below its first.  The caps are checked before the first
+    claim, and each claim is yielded as soon as it is computed.
     """
     check_caps(max_m, max_n)
     caps = {"m": min(max_m, TOP["m"]), "n": min(max_n, TOP["n"])}
-    results: list[ClaimResult] = []
-    for row in SUITE:
-        if caps[row.cap] >= row.first:
-            results += row.check(caps[row.cap])
-    return results
+    return (
+        claim
+        for row in SUITE
+        if caps[row.cap] >= row.first
+        for claim in row.claims(range(row.first, caps[row.cap] + 1))
+    )
+
+
+def run_all(max_m: int = 8, max_n: int = 10) -> list[ClaimResult]:
+    """The claims of :func:`iter_claims` as a list.
+
+    The default suite runs in under a second.
+    """
+    return list(iter_claims(max_m, max_n))
 
 
 def all_passing(results: list[ClaimResult]) -> bool:

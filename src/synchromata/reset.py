@@ -13,13 +13,14 @@ covers, so no set is kept twice and the layers reach the full set or die
 out within 2^n layers.
 
 The forward method is the shared search kernel of the automaton module
-with a singleton as its goal, O(2^n k) steps at worst; each level is
-tested for a singleton with one set-disjointness call.  Both methods
-step with the automaton's split tables, two lookups per image or
-preimage of a subset instead of a loop over its states.  The layer
-search keeps a candidate iff it is not a singleton and no kept set
-covers it.  Each round visits its candidates once, in decreasing mask
-order, so a proper superset is kept before the candidates inside it.
+with a singleton as its goal, O(2^n k) steps at worst; after each level
+the goal reads the n singletons' links, and only a level that linked
+one of them is scanned for it.  Both methods step with the automaton's
+split tables, two lookups per image or preimage of a subset instead of
+a loop over its states.  The layer search keeps a candidate iff it is
+not a singleton and no kept set covers it.  Each round visits its
+candidates once, in decreasing mask order, so a proper superset is kept
+before the candidates inside it.
 A candidate met in an earlier round is skipped, at one byte per mask
 (2^n bytes): it was kept then, or covered by a set that is still kept.
 Each new candidate gets one cover test: a reduce ANDs, over the
@@ -35,6 +36,7 @@ wide.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from operator import and_
@@ -60,12 +62,13 @@ def shortest_reset_word(dfa: Dfa) -> Optional[Word]:
     shared search kernel, stopping at the first singleton; ties between
     equal-length words are broken by letter order.
     """
-    singletons = frozenset(1 << q for q in range(dfa.n))
+    singletons = [1 << q for q in range(dfa.n)]
 
-    def first_singleton(level: list[int]) -> Optional[int]:
-        if singletons.isdisjoint(level):
+    def first_singleton(level: list[int], links: array) -> Optional[int]:
+        # a singleton linked by now was reached in this level
+        if not any(map(links.__getitem__, singletons)):
             return None
-        return next(m for m in level if m in singletons)
+        return next(m for m in level if not m & (m - 1))
 
     letters, _ = _shortest_word(dfa, True, dfa.full_mask, first_singleton)
     return None if letters is None else Word(letters)

@@ -1,12 +1,17 @@
 import copy
 import json
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import synchromata
 from synchromata import (
     Dfa,
     StateSet,
@@ -28,7 +33,7 @@ from synchromata import (
     shortest_extending_word,
     shortest_reset_word,
 )
-from synchromata.automaton import MAX_STATES, _step_tables, _synchronizes
+from synchromata.automaton import MAX_STATES, _level_step, _step_tables, _synchronizes
 from synchromata.io import from_json
 
 from helpers import (
@@ -337,7 +342,7 @@ def test_compressible_precondition():
 
 @st.composite
 def rows_and_subset(draw):
-    rows = draw(transition_rows(8))
+    rows = draw(transition_rows(8, max_k=5))
     return rows, draw(st.integers(1, (1 << len(rows[0])) - 1))
 
 
@@ -351,6 +356,7 @@ def _letters(word):
 @example(([[1, 1], [2, 2]], 3))         # both letters reset: the first one wins
 @example(([[2, 3, 1]], 3))              # a permutation: no search reaches its goal
 @example(([[2, 3, 3], [1, 3, 1]], 2))   # extending word "ba": its steps reversed
+@example(([[2, 3, 1]] * 3 + [[1, 1, 3], [2, 2, 2]], 7))  # only the last letters merge
 def test_search_words_match_frozenset_oracle(case):
     rows, mask = case
     n, k = len(rows[0]), len(rows)
@@ -388,16 +394,64 @@ def test_searches_at_full_width_with_a_large_alphabet():
     assert shortest_avoiding_word(dfa, 1) is None
 
 
+def test_huge_alphabet_past_the_unrolled_letters():
+    # 1 998 letters fix every state, the last two reset as "yz" above: the
+    # letters past the 26 written out are stepped by the loop of the step
+    n, k = 3, 2000
+    rows = [[1, 2, 3]] * (k - 2) + [[1, 2, 2], [1, 1, 3]]
+    names = "".join(chr(0x100 + i) for i in range(k))
+    dfa = Dfa(n, k, rows, names)
+    full = range(1, n + 1)
+    assert _letters(shortest_reset_word(dfa)) == o_shortest_word(
+        rows, full, lambda t: len(t) == 1) == [k - 2, k - 1]
+    for q in full:
+        assert _letters(shortest_avoiding_word(dfa, q)) == o_shortest_word(
+            rows, full, lambda t: q not in t)
+    # past 26 letters the compiled step stops growing, and every larger
+    # alphabet shares the one compiled for 27
+    size = [len(_level_step(k).__code__.co_code) for k in (25, 26, 27, 28, 2000)]
+    assert size[0] < size[1] < size[2] == size[3] == size[4]
+    _level_step.cache_clear()
+    shortest_reset_word(dfa)
+    shortest_reset_word(Dfa(n, 30, rows[-30:], names[:30]))
+    assert _level_step.cache_info().currsize == 1
+
+
+def test_level_step_is_compiled_once_per_alphabet_size():
+    _level_step.cache_clear()
+    twins = [Dfa(4, 4, [[2, 3, 4, 1], [1, 1, 3, 4], [2, 2, 3, 4], [4, 3, 2, 1]]),
+             cerny(3), Dfa(5, 4, [[2, 3, 4, 5, 1], [1, 1, 3, 4, 5]] * 2), cerny(6)]
+    for dfa in twins:
+        shortest_reset_word(dfa)
+        shortest_extending_word(dfa, StateSet([1], dfa.n))
+    assert _level_step.cache_info().currsize == 2  # k = 4 and k = 2
+    assert _level_step.cache_info().misses == 2
+    assert _level_step(4) is _level_step(4) and _level_step(4) is not _level_step(2)
+
+
+def test_no_step_is_compiled_at_import():
+    src = Path(synchromata.__file__).resolve().parent.parent
+    script = ("import synchromata.cli, synchromata.automaton as a\n"
+              "assert a._level_step.cache_info().currsize == 0\n")
+    subprocess.run([sys.executable, "-c", script], check=True, timeout=60,
+                   env=dict(os.environ, PYTHONPATH=str(src)))
+
+
 def test_step_tables_are_a_cache_outside_equality():
     rows = [[2, 3, 4, 1], [1, 1, 3, 4]]
     cached, fresh = Dfa(4, 2, rows), Dfa(4, 2, rows)
-    shortest_reset_word(cached)
+    word = shortest_reset_word(cached)
     shortest_extending_word(cached, StateSet([1], 4))
     assert _step_tables(cached, True) is _step_tables(cached, True)
     assert cached == fresh and hash(cached) == hash(fresh)
     assert {cached: 1}[fresh] == 1
     with pytest.raises(AttributeError):
         cached._steps = [None, None]
+    # a searched automaton still copies and pickles, and its twins search alike
+    for twin in (copy.copy(cached), copy.deepcopy(cached),
+                 pickle.loads(pickle.dumps(cached))):
+        assert twin == fresh and hash(twin) == hash(fresh)
+        assert shortest_reset_word(twin) == word
 
 
 @pytest.mark.parametrize("value", [

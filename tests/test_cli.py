@@ -185,6 +185,22 @@ def test_verify_paper(tmp_path, capsys):
         <= set(data[0])
 
 
+def test_verify_paper_prints_each_claim_as_it_is_computed(monkeypatch, capsys):
+    import synchromata.replication as replication
+
+    def claims(params):
+        yield ClaimResult("first", 3, 1, 1, "pass")
+        # the second claim is computed only once the first one is printed
+        assert capsys.readouterr().out == "PASS     first(3): computed=1 expected=1\n"
+        yield ClaimResult("second", 3, 1, 1, "pass")
+
+    monkeypatch.setattr(replication, "SUITE", [
+        replication.Check(lambda top: list(claims(range(3, top + 1))), "n", 3, claims)])
+    assert main(["verify-paper", "--max-m", "5", "--max-n", "4"]) == 0
+    assert capsys.readouterr().out == (
+        "PASS     second(3): computed=1 expected=1\n2/2 claims passed\n")
+
+
 def test_bad_cap_leaves_an_existing_report_alone(tmp_path, capsys):
     report = tmp_path / "r.json"
     report.write_text("[]\n")
@@ -204,7 +220,7 @@ def test_report_is_replaced_only_when_complete(tmp_path, monkeypatch, interrupte
             assert [p.name for p in tmp_path.iterdir()] != ["r.json"]  # opened first
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(cli_mod, "run_all", stopped)
+        monkeypatch.setattr(cli_mod, "iter_claims", stopped)
     code = main(["verify-paper", "--max-m", "5", "--max-n", "4", "--json", str(report)])
     if interrupted:
         assert code == 130
@@ -324,8 +340,8 @@ def _no_letters(monkeypatch):
 def _failing_claim(monkeypatch):
     import synchromata.cli as cli_mod
 
-    monkeypatch.setattr(cli_mod, "run_all", lambda max_m, max_n: [
-        ClaimResult("demo", 3, 7, 5, "fail", None)])
+    monkeypatch.setattr(cli_mod, "iter_claims", lambda max_m, max_n: iter([
+        ClaimResult("demo", 3, 7, 5, "fail", None)]))
 
 
 # {c3}: cerny(3); {big}: 25 states, over the mask width; {one}: one state;

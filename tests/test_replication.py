@@ -46,11 +46,13 @@ def test_suite_row_guards_its_range_and_passes(row):
 
 def _stub_suite(monkeypatch):
     """Replace SUITE by rows that each report the parameter they ran at."""
-    def stub(name):
-        return lambda top: [ClaimResult(name, top, top, top, "pass")]
+    def row(name, cap, first):
+        def claims(params):
+            yield ClaimResult(name, params[-1], params[-1], params[-1], "pass")
 
-    rows = [Check(stub("m3"), "m", 3), Check(stub("n6"), "n", 6),
-            Check(stub("m7"), "m", 7), Check(stub("n3"), "n", 3)]
+        return Check(lambda top: list(claims(range(first, top + 1))), cap, first, claims)
+
+    rows = [row("m3", "m", 3), row("n6", "n", 6), row("m7", "m", 7), row("n3", "n", 3)]
     monkeypatch.setattr(replication, "SUITE", rows)
 
 
